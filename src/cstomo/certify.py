@@ -14,12 +14,11 @@ unspecified leading constants of the source analysis are all set to 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, pauli_action, pauli_expectation
+from .pauli import PauliString, pauli_expectation, pauli_tables
 from .states import DensityMatrix
 
 #: eigenvalues of the estimate below this do not count toward its rank
@@ -74,10 +73,11 @@ class FidelityEstimate:
             raise ValueError("negative copy count")
 
 
-def _pauli_apply(phi: np.ndarray, index: int, n: int) -> np.ndarray:
-    """(P phi)[k] = phases[k] * phi[permutation[k]], O(d)."""
-    action = pauli_action(PauliString.from_index(n, index))
-    return action.phases * phi[action.permutation]
+def _pauli_overlaps(phi_j: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
+    """<phi_j|P_i|phi_k> for all d^2 words i in canonical order."""
+    d = phi_j.size
+    perms, phases = pauli_tables(d.bit_length() - 1, np.arange(d * d))
+    return (phases * phi_k[perms]) @ phi_j.conj()
 
 
 def dfe_distribution(phi_j: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
@@ -90,11 +90,7 @@ def dfe_distribution(phi_j: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
     for name, v in (("phi_j", phi_j), ("phi_k", phi_k)):
         if abs(np.linalg.norm(v) - 1.0) > 1e-9:
             raise ValueError(f"{name} is not normalized")
-    n = d.bit_length() - 1
-    probs = np.empty(d * d)
-    for i in range(d * d):
-        w = np.vdot(phi_j, _pauli_apply(phi_k, i, n))
-        probs[i] = abs(w) ** 2 / d
+    probs = np.abs(_pauli_overlaps(phi_j, phi_k)) ** 2 / d
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise AssertionError(f"importance weights sum to {total}, not 1")
@@ -137,7 +133,7 @@ def dfe_matrix_element(state_oracle: StateOracle, phi_j, phi_k,
     n = d.bit_length() - 1
     probs = dfe_distribution(phi_j, phi_k)
     support = np.flatnonzero(probs > 0)
-    weights = np.array([np.vdot(phi_k, _pauli_apply(phi_j, int(i), n)) for i in support])
+    weights = _pauli_overlaps(phi_k, phi_j)[support]
 
     if state_oracle.exact:
         # no sampling: the exact importance-weighted mean, zero copies consumed
@@ -252,14 +248,3 @@ def certify_fidelity(state_oracle: StateOracle, rho_hat: DensityMatrix,
     g *= np.sqrt(np.outer(lam, lam))
     f_hat = min(trace_sqrt(g) ** 2, 1.0)
     return FidelityEstimate(float(f_hat), eps, delta, copies, eps0)
-
-
-def estimate_to_json(est: FidelityEstimate) -> str:
-    return json.dumps({
-        "kind": "fidelity_certificate",
-        "F_hat": est.value,
-        "eps": est.epsilon,
-        "delta": est.delta,
-        "copies_used": est.copies_used,
-        "per_element_error": est.matrix_element_errors,
-    }, sort_keys=True, indent=1)

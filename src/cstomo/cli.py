@@ -9,11 +9,9 @@ is zeroed under --no-timing to keep its CSV byte-stable).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -188,16 +186,9 @@ def run_benchmark(config: ExperimentConfig, timing: bool = True):
     """Seeded sweep over (trial, m, estimator); returns (rows, seed manifest)."""
     master = np.random.SeedSequence(config.seed)
     trial_seeds = master.spawn(config.trials)
-    workers = int(os.environ.get("CSTOMO_WORKERS", "1"))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(
-                lambda ss: _benchmark_trial(config, ss, timing), trial_seeds))
-    else:
-        per_trial = [_benchmark_trial(config, ss, timing) for ss in trial_seeds]
     buckets = {}
-    for cells in per_trial:
-        for m, name, fid, td, secs in cells:
+    for ss in trial_seeds:
+        for m, name, fid, td, secs in _benchmark_trial(config, ss, timing):
             buckets.setdefault((m, name), []).append((fid, td, secs))
     rows = []
     for (m, name) in sorted(buckets):

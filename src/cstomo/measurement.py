@@ -8,15 +8,12 @@ are drawn uniformly with replacement.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliString, pauli_action
+from .pauli import PauliString, pauli_tables
 from .states import DensityMatrix
 
 #: sentinel copy count for noiseless records
@@ -55,20 +52,33 @@ class MeasurementPlan:
         return float(np.sqrt(self.d / self.m))
 
     @cached_property
-    def _perms(self) -> np.ndarray:
-        return np.stack([pauli_action(p).permutation for p in self.paulis])
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return pauli_tables(self.n, [p.index for p in self.paulis])
 
     @cached_property
-    def _phases(self) -> np.ndarray:
-        return np.stack([pauli_action(p).phases for p in self.paulis])
+    def _flat_index(self) -> np.ndarray:
+        """Row-major position of each table entry in a d x d matrix."""
+        return (self._tables[0] + self.d * np.arange(self.d)).ravel()
 
     def expectations(self, mat) -> np.ndarray:
         """Vector of Tr(P_i X) for a Hermitian X, O(m d)."""
         mat = np.asarray(getattr(mat, "mat", mat))
         if mat.shape != (self.d, self.d):
             raise ValueError(f"dimension mismatch: plan d={self.d}, matrix {mat.shape}")
-        values = np.sum(self._phases * mat[self._perms, np.arange(self.d)], axis=1)
+        perms, phases = self._tables
+        values = np.sum(phases * mat[perms, np.arange(self.d)], axis=1)
         return values.real
+
+    def pauli_sum(self, coeffs) -> np.ndarray:
+        """The dense matrix sum_i c_i P_i for real c, one scatter in O(m d)."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (self.m,):
+            raise ValueError(f"expected a length-{self.m} vector, got shape {coeffs.shape}")
+        phases = self._tables[1]
+        size = self.d * self.d
+        real = np.bincount(self._flat_index, (coeffs[:, None] * phases.real).ravel(), size)
+        imag = np.bincount(self._flat_index, (coeffs[:, None] * phases.imag).ravel(), size)
+        return (real + 1j * imag).reshape(self.d, self.d)
 
 
 @dataclass(frozen=True)
@@ -141,15 +151,8 @@ def apply_sampling_operator(plan: MeasurementPlan, X) -> np.ndarray:
 
 
 def adjoint_sampling_operator(plan: MeasurementPlan, v: np.ndarray) -> np.ndarray:
-    """A*(v) = sqrt(d/m) * sum_i v_i P_i, assembled by scatter in O(m d)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (plan.m,):
-        raise ValueError(f"expected a length-{plan.m} vector, got shape {v.shape}")
-    d = plan.d
-    mat = np.zeros((d, d), dtype=complex)
-    rows = np.broadcast_to(np.arange(d), (plan.m, d))
-    np.add.at(mat, (rows, plan._perms), v[:, None] * plan._phases)
-    return plan.normalization * mat
+    """A*(v) = sqrt(d/m) * sum_i v_i P_i."""
+    return plan.normalization * plan.pauli_sum(v)
 
 
 def simulate_measurements(plan: MeasurementPlan, rho: DensityMatrix, t, rng=None) -> MeasurementRecord:
@@ -221,26 +224,3 @@ def plan_to_dict(plan: MeasurementPlan, seed=None) -> dict:
 def plan_from_dict(data: dict) -> MeasurementPlan:
     n = int(data["n"])
     return MeasurementPlan(tuple(PauliString.from_index(n, int(i)) for i in data["indices"]))
-
-
-def record_to_csv(record: MeasurementRecord, plan: MeasurementPlan) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["setting_index", "pauli_string", "shots", "plus_counts", "y"])
-    for i, p in enumerate(plan.paulis):
-        writer.writerow([i, p.label, int(record.shots[i]), int(record.plus_counts[i]),
-                         f"{record.y[i]:.17g}"])
-    return buf.getvalue()
-
-
-def record_from_csv(text: str, normalization: float) -> MeasurementRecord:
-    rows = list(csv.DictReader(io.StringIO(text)))
-    y = np.array([float(r["y"]) for r in rows])
-    shots = np.array([int(r["shots"]) for r in rows], dtype=np.int64)
-    plus = np.array([int(r["plus_counts"]) for r in rows], dtype=np.int64)
-    exact = bool(np.all(shots == 0))
-    return MeasurementRecord(y, shots, plus, normalization, exact=exact)
-
-
-def plan_to_json(plan: MeasurementPlan, seed=None) -> str:
-    return json.dumps(plan_to_dict(plan, seed), sort_keys=True, indent=1)

@@ -15,6 +15,7 @@ index, matching the usual kron order sigma_1 (x) ... (x) sigma_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,27 +101,48 @@ class PauliAction:
     phases: np.ndarray
 
 
+#: (-i)^k for k mod 4, exact
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
+
+
+@lru_cache(maxsize=None)
+def _bit_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-qubit digit shifts and bit weights, and the n x d matrix of basis-state bits.
+
+    Cached per qubit count: DFE builds one word's table per support word.
+    """
+    position = np.arange(n - 1, -1, -1)
+    basis_bits = ((np.arange(1 << n)[:, None] >> position) & 1).T.copy()
+    layout = (2 * position, 1 << position, basis_bits)
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def pauli_tables(n: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation and phase rows of many words at once, each of shape (len(indices), d).
+
+    Bitmask form: x marks the X/Y factors and z the Y/Z factors, qubit 0 on
+    the most significant bit.  Row k of a word has its nonzero entry in
+    column k ^ x with phase (-i)^{#Y} (-1)^{popcount(k & z)}, since
+    Y = -i Z X.  The cost is a fixed number of array operations in n.
+    """
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    shifts, weights, basis_bits = _bit_layout(n)
+    codes = (indices[:, None] >> shifts) & 3
+    z = codes >> 1
+    x = (codes ^ z) & 1
+    perms = np.arange(1 << n) ^ (x @ weights)[:, None]
+    phases = _MINUS_I_POWERS[((x * z).sum(axis=1)[:, None] + 2 * (z @ basis_bits)) & 3]
+    perms.setflags(write=False)
+    phases.setflags(write=False)
+    return perms, phases
+
+
 def pauli_action(p: PauliString) -> PauliAction:
     """Compute the permutation and phase vector of `p` in O(d), no dense matrix."""
-    n, d = p.n, p.d
-    k = np.arange(d)
-    xmask = 0
-    for q, c in enumerate(p.codes):
-        if c in (1, 2):
-            xmask |= 1 << (n - 1 - q)
-    perm = k ^ xmask
-    phases = np.ones(d, dtype=complex)
-    for q, c in enumerate(p.codes):
-        if c in (2, 3):
-            b = (k >> (n - 1 - q)) & 1
-            if c == 2:
-                # row bit b of sigma_y: entry (0,1) = -i, entry (1,0) = +i
-                phases = phases * (1j * (2 * b - 1))
-            else:
-                phases = phases * (1 - 2 * b)
-    perm.setflags(write=False)
-    phases.setflags(write=False)
-    return PauliAction(perm, phases)
+    perms, phases = pauli_tables(p.n, [p.index])
+    return PauliAction(perms[0], phases[0])
 
 
 def action_matrix(action: PauliAction) -> np.ndarray:

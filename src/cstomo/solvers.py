@@ -27,7 +27,7 @@ from .measurement import (
     adjoint_sampling_operator,
     apply_sampling_operator,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, renormalized
 
 #: probability floor before divisions in the MLE iteration
 PROB_FLOOR = 1e-12
@@ -83,20 +83,14 @@ def operator_norm(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(_hermitize(mat)))))
 
 
-def sampling_lipschitz(plan: MeasurementPlan, iterations: int = 60) -> float:
-    """Spectral norm of A*A on Hermitian matrices, by power iteration."""
-    rng = np.random.default_rng(0)
-    d = plan.d
-    x = _hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    x /= np.linalg.norm(x)
-    norm = 1.0
-    for _ in range(iterations):
-        x = adjoint_sampling_operator(plan, apply_sampling_operator(plan, x))
-        norm = np.linalg.norm(x)
-        if norm == 0:
-            return 1.0
-        x /= norm
-    return float(norm)
+def sampling_lipschitz(plan: MeasurementPlan) -> float:
+    """Spectral norm of A*A on Hermitian matrices, in closed form.
+
+    The P_i / sqrt(d) are orthonormal, so A*A is diagonal in them with
+    eigenvalue (d^2/m) times the number of times word i occurs in the plan.
+    """
+    _, counts = np.unique([p.index for p in plan.paulis], return_counts=True)
+    return plan.d**2 * int(counts.max()) / plan.m
 
 
 def _prox_trace(mat: np.ndarray, thresh: float, positivity: bool) -> np.ndarray:
@@ -288,9 +282,7 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
         ratio_minus = np.where(f_minus > 0, weights * f_minus / p_minus, 0.0)
         ident_coeff = 0.5 * np.sum(ratio_plus + ratio_minus)
         pauli_coeff = 0.5 * (ratio_plus - ratio_minus)
-        r_op = ident_coeff * np.eye(d, dtype=complex)
-        rows = np.broadcast_to(np.arange(d), (plan.m, d))
-        np.add.at(r_op, (rows, plan._perms), pauli_coeff[:, None] * plan._phases)
+        r_op = ident_coeff * np.eye(d) + plan.pauli_sum(pauli_coeff)
         rho = _hermitize(r_op @ rho @ r_op)
         rho /= np.trace(rho).real
     feas = operator_norm(adjoint_sampling_operator(
@@ -299,10 +291,5 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
 
 
 def renormalize(result: ReconstructionResult) -> ReconstructionResult:
-    """Divide by the trace when it is below one; traces >= 1 pass through unchanged."""
-    tr = result.rho_hat.trace
-    if tr <= 0:
-        raise ValueError(f"cannot renormalize estimate with trace {tr:.3g}")
-    if tr >= 1.0:
-        return result
-    return replace(result, rho_hat=DensityMatrix(result.rho_hat.mat / tr), renormalized=True)
+    """Divide the estimate by its trace, which must be positive."""
+    return replace(result, rho_hat=renormalized(result.rho_hat), renormalized=True)

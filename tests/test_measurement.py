@@ -12,11 +12,9 @@ from cstomo.measurement import (
     empirical_rip_constant,
     plan_from_dict,
     plan_to_dict,
-    record_from_csv,
-    record_to_csv,
     simulate_measurements,
 )
-from cstomo.pauli import all_paulis, pauli_matrix, sample_paulis
+from cstomo.pauli import PauliString, all_paulis, pauli_matrix, sample_paulis
 from cstomo.states import haar_random_pure, maximally_mixed
 
 
@@ -54,6 +52,22 @@ def test_adjoint_is_the_adjoint():
     lhs = float(apply_sampling_operator(plan, x) @ v)
     rhs = float(np.trace(adjoint_sampling_operator(plan, v).conj().T @ x).real)
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_pauli_sum_matches_dense_sum():
+    # repeated words and Y factors exercise the scatter's accumulation and phases
+    plan = MeasurementPlan(tuple(PauliString.from_label(s)
+                                 for s in ("YX", "YX", "ZY", "II", "YY", "XZ", "ZY")))
+    coeffs = np.random.default_rng(3).standard_normal(plan.m)
+    dense = sum(c * pauli_matrix(p) for c, p in zip(coeffs, plan.paulis))
+    assert np.allclose(plan.pauli_sum(coeffs), dense, atol=1e-12)
+    plan = MeasurementPlan(tuple(sample_paulis(3, 80, rng=np.random.default_rng(4))))
+    assert len({p.index for p in plan.paulis}) < plan.m
+    coeffs = np.random.default_rng(5).standard_normal(plan.m)
+    dense = sum(c * pauli_matrix(p) for c, p in zip(coeffs, plan.paulis))
+    assert np.allclose(plan.pauli_sum(coeffs), dense, atol=1e-12)
+    with pytest.raises(ValueError):
+        plan.pauli_sum(np.ones(plan.m + 1))
 
 
 def test_complete_set_is_an_isometry():
@@ -122,16 +136,3 @@ def test_plan_serialization_round_trip():
     plan = MeasurementPlan(tuple(sample_paulis(3, 9, rng=rng)))
     back = plan_from_dict(plan_to_dict(plan, seed=7))
     assert [p.index for p in back.paulis] == [p.index for p in plan.paulis]
-
-
-def test_record_csv_round_trip():
-    plan = full_plan(1)
-    rho = haar_random_pure(1, np.random.default_rng(9))
-    rec = simulate_measurements(plan, rho, 400, np.random.default_rng(9))
-    text = record_to_csv(rec, plan)
-    back = record_from_csv(text, rec.normalization)
-    assert np.array_equal(back.plus_counts, rec.plus_counts)
-    assert np.allclose(back.y, rec.y, atol=0)
-    exact = simulate_measurements(plan, rho, EXACT)
-    back = record_from_csv(record_to_csv(exact, plan), exact.normalization)
-    assert back.exact

@@ -7,7 +7,7 @@ from cstomo.measurement import (
     apply_sampling_operator,
     simulate_measurements,
 )
-from cstomo.pauli import PauliString, all_paulis, pauli_matrix, sample_paulis
+from cstomo.pauli import SINGLE_QUBIT_MATRICES, PauliString, all_paulis, pauli_matrix, sample_paulis
 from cstomo.solvers import (
     SolverConfig,
     dantzig_selector,
@@ -17,8 +17,9 @@ from cstomo.solvers import (
     mle,
     operator_norm,
     renormalize,
+    sampling_lipschitz,
 )
-from cstomo.states import DensityMatrix, haar_random_pure, trace_distance
+from cstomo.states import DensityMatrix, fidelity, haar_random_pure, trace_distance
 
 
 def noisy_instance(seed, n=2, m=10, t=4000):
@@ -135,10 +136,48 @@ def test_renormalize():
     assert out.renormalized
     over = ReconstructionResult(DensityMatrix(np.diag([0.8, 0.4, 0, 0]).astype(complex)),
                                 (0.0,), 0.0, 1, True)
-    assert renormalize(over) is over
+    out = renormalize(over)
+    assert out.rho_hat.trace == pytest.approx(1.0)
+    assert out.renormalized
     zero = ReconstructionResult(DensityMatrix(np.zeros((4, 4))), (0.0,), 0.0, 1, True)
     with pytest.raises(ValueError):
         renormalize(zero)
+
+
+def test_renormalized_lasso_estimates_are_states():
+    # at this noise level the Lasso trace exceeds 1 on every draw (up to 2.4)
+    for seed in range(40):
+        truth, plan, record = noisy_instance(seed, n=3, m=40, t=400)
+        result = matrix_lasso(plan, record.y, 1e-4)
+        assert result.rho_hat.trace > 1.0
+        out = renormalize(result)
+        assert out.rho_hat.trace == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(out.rho_hat, truth) <= 1.0
+
+
+def dense_gram_lambda_max(plan):
+    """Largest eigenvalue of A*A from Kronecker-product Pauli matrices."""
+    vecs = []
+    for p in plan.paulis:
+        mat = np.array([[1.0]], dtype=complex)
+        for c in p.codes:
+            mat = np.kron(mat, SINGLE_QUBIT_MATRICES[c])
+        vecs.append(mat.reshape(-1))
+    vecs = np.array(vecs)
+    gram = (plan.d / plan.m) * vecs.T @ vecs.conj()
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
+def test_sampling_lipschitz_is_the_gram_norm():
+    rng = np.random.default_rng(8)
+    for n in (2, 3):
+        plans = [MeasurementPlan(tuple(all_paulis(n)))]
+        for m in (5, 12, 4**n + 3):
+            plans.append(MeasurementPlan(tuple(sample_paulis(n, m, rng=rng))))
+        assert any(len({p.index for p in plan.paulis}) < plan.m for plan in plans)
+        for plan in plans:
+            assert sampling_lipschitz(plan) == pytest.approx(
+                dense_gram_lambda_max(plan), rel=1e-12)
 
 
 def test_solver_config_validation():
