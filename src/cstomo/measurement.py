@@ -39,46 +39,57 @@ class MeasurementPlan:
     def m(self) -> int:
         return len(self.paulis)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.paulis[0].n
 
-    @property
+    @cached_property
     def d(self) -> int:
         return 1 << self.n
 
-    @property
+    @cached_property
     def normalization(self) -> float:
         return float(np.sqrt(self.d / self.m))
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return pauli_tables(self.n, [p.index for p in self.paulis])
+    def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Float-view slots and real weights of every table entry, for gather and scatter.
 
-    @cached_property
-    def _flat_index(self) -> np.ndarray:
-        """Row-major position of each table entry in a d x d matrix."""
-        return (self._tables[0] + self.d * np.arange(self.d)).ravel()
+        A word's phases are all real (+-1) or all imaginary (+-i), so each
+        entry touches one float of the complex d x d matrix viewed as
+        float64: the real slot 2j or the imaginary slot 2j + 1 of flat
+        position j.  The gather reads X[perm[k], k] and keeps the real part
+        of phase * X; the scatter adds c * phase at (k, perm[k]).
+        """
+        perms, phases = pauli_tables(self.n, [p.index for p in self.paulis])
+        rows = np.arange(self.d)
+        imag = phases.imag != 0
+        gather_slots = 2 * (perms * self.d + rows) + imag
+        gather_weights = np.where(imag, -phases.imag, phases.real)
+        scatter_slots = (2 * (rows * self.d + perms) + imag).ravel()
+        scatter_signs = np.where(imag, phases.imag, phases.real)
+        kernels = (gather_slots, gather_weights, scatter_slots, scatter_signs)
+        for arr in kernels:
+            arr.setflags(write=False)
+        return kernels
 
     def expectations(self, mat) -> np.ndarray:
-        """Vector of Tr(P_i X) for a Hermitian X, O(m d)."""
-        mat = np.asarray(getattr(mat, "mat", mat))
+        """Vector of Re Tr(P_i X), which is Tr(P_i X) for a Hermitian X, O(m d)."""
+        mat = np.ascontiguousarray(getattr(mat, "mat", mat), dtype=complex)
         if mat.shape != (self.d, self.d):
             raise ValueError(f"dimension mismatch: plan d={self.d}, matrix {mat.shape}")
-        perms, phases = self._tables
-        values = np.sum(phases * mat[perms, np.arange(self.d)], axis=1)
-        return values.real
+        slots, weights, _, _ = self._kernels
+        return np.einsum("ij,ij->i", mat.reshape(-1).view(np.float64).take(slots), weights)
 
     def pauli_sum(self, coeffs) -> np.ndarray:
         """The dense matrix sum_i c_i P_i for real c, one scatter in O(m d)."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.m,):
             raise ValueError(f"expected a length-{self.m} vector, got shape {coeffs.shape}")
-        phases = self._tables[1]
-        size = self.d * self.d
-        real = np.bincount(self._flat_index, (coeffs[:, None] * phases.real).ravel(), size)
-        imag = np.bincount(self._flat_index, (coeffs[:, None] * phases.imag).ravel(), size)
-        return (real + 1j * imag).reshape(self.d, self.d)
+        _, _, slots, signs = self._kernels
+        size = 2 * self.d * self.d
+        flat = np.bincount(slots, (coeffs[:, None] * signs).ravel(), size)
+        return flat.view(complex).reshape(self.d, self.d)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,15 @@ Three estimators share the sampling-operator machinery:
 
 The first-order methods replace interior-point solving; accuracy is guarded
 by the feasibility / stationarity certificates reported in the result.
+
+Operator budget per iteration, in forward maps A (one `expectations`) and
+adjoints A* (one `pauli_sum`), besides the eigendecompositions:
+
+* Lasso: 1 A + 1 A*, since A(X) and A(V) are carried forward; an adaptive
+  restart adds 1 A + 1 A*, and each continuation stage starts with 1 A;
+* Dantzig: 3 A + 3 A* (B = A*A three times) and two eigendecompositions;
+* MLE: 1 A + 1 A* (the expectations, then R as one Pauli sum), plus 1 A
+  and 1 A* after the loop for the reported feasibility residual.
 """
 
 from __future__ import annotations
@@ -112,39 +121,47 @@ def _trace_norm(mat: np.ndarray) -> float:
 
 
 def _fista_stage(plan, y, mu, X, step, positivity, max_iter, tol):
-    """FISTA with adaptive restart from warm start X; returns (X, history, converged, iters)."""
+    """FISTA with adaptive restart from warm start X; returns (X, A(X), history, converged, iters).
 
-    def objective(mat):
-        resid = apply_sampling_operator(plan, mat) - y
+    A is linear, so A(X) and A(V) are carried forward with the iterates
+    instead of being recomputed for the objective and the gradient.
+    """
+
+    def objective(mat, a_mat):
+        resid = a_mat - y
         reg = float(np.trace(mat).real) if positivity else _trace_norm(mat)
         return 0.5 * float(resid @ resid) + mu * reg
 
-    V = X
+    def prox_step(V, AV):
+        grad = adjoint_sampling_operator(plan, AV - y)
+        X_new = _prox_trace(V - step * grad, mu * step, positivity)
+        AX_new = apply_sampling_operator(plan, X_new)
+        return X_new, AX_new, objective(X_new, AX_new)
+
+    AX = apply_sampling_operator(plan, X)
+    V, AV = X, AX
     theta = 1.0
-    history = [objective(X)]
+    history = [objective(X, AX)]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad = adjoint_sampling_operator(plan, apply_sampling_operator(plan, V) - y)
-        X_new = _prox_trace(V - step * grad, mu * step, positivity)
-        obj = objective(X_new)
+        X_new, AX_new, obj = prox_step(V, AV)
         if obj > history[-1]:
             # adaptive restart: drop momentum when the objective backtracks
             theta = 1.0
-            V = X
-            grad = adjoint_sampling_operator(plan, apply_sampling_operator(plan, V) - y)
-            X_new = _prox_trace(V - step * grad, mu * step, positivity)
-            obj = objective(X_new)
+            X_new, AX_new, obj = prox_step(X, AX)
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
-        V = X_new + ((theta - 1.0) / theta_new) * (X_new - X)
+        beta = (theta - 1.0) / theta_new
+        V = X_new + beta * (X_new - X)
+        AV = AX_new + beta * (AX_new - AX)
         change = np.linalg.norm(X_new - X)
-        X = X_new
+        X, AX = X_new, AX_new
         theta = theta_new
         history.append(obj)
         if change < tol * max(1.0, np.linalg.norm(X)):
             converged = True
             break
-    return X, history, converged, iterations
+    return X, AX, history, converged, iterations
 
 
 def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
@@ -169,12 +186,12 @@ def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
     stage_mu = 0.2 * data_scale
     ladder_floor = max(mu, 1e-9 * data_scale)
     while stage_mu > 4.0 * ladder_floor:
-        X, _, _, _ = _fista_stage(plan, y, stage_mu, X, step, config.positivity,
-                                  min(400, config.max_iterations), config.tolerance)
+        X, _, _, _, _ = _fista_stage(plan, y, stage_mu, X, step, config.positivity,
+                                     min(400, config.max_iterations), config.tolerance)
         stage_mu /= 4.0
-    X, history, converged, iterations = _fista_stage(
+    X, AX, history, converged, iterations = _fista_stage(
         plan, y, mu, X, step, config.positivity, config.max_iterations, config.tolerance)
-    feas = operator_norm(adjoint_sampling_operator(plan, apply_sampling_operator(plan, X) - y))
+    feas = operator_norm(adjoint_sampling_operator(plan, AX - y))
     return ReconstructionResult(DensityMatrix(_hermitize(X)), tuple(history), feas,
                                 iterations, converged)
 
@@ -243,12 +260,6 @@ def dantzig_selector(plan: MeasurementPlan, y: np.ndarray, lam: float,
                                 iterations, converged)
 
 
-def _mle_likelihood(weights, f_plus, f_minus, p_plus, p_minus):
-    terms = np.where(f_plus > 0, f_plus * np.log(p_plus), 0.0)
-    terms = terms + np.where(f_minus > 0, f_minus * np.log(p_minus), 0.0)
-    return float(np.sum(weights * terms))
-
-
 def mle(plan: MeasurementPlan, record: MeasurementRecord,
         config: SolverConfig = SolverConfig(tolerance=1e-10, max_iterations=2000)) -> ReconstructionResult:
     """Iterative R*rho*R maximum-likelihood estimate for two-outcome Pauli data.
@@ -264,6 +275,9 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
     f_plus = record.plus_frequencies()
     f_minus = 1.0 - f_plus
     weights = np.ones(plan.m) if record.exact else record.shots.astype(float)
+    # outcomes never seen contribute neither to the likelihood nor to R
+    w_plus = np.where(f_plus > 0, weights * f_plus, 0.0)
+    w_minus = np.where(f_minus > 0, weights * f_minus, 0.0)
 
     rho = np.eye(d, dtype=complex) / d
     history = []
@@ -273,16 +287,15 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
         exps = plan.expectations(rho)
         p_plus = np.maximum((1.0 + exps) / 2.0, PROB_FLOOR)
         p_minus = np.maximum((1.0 - exps) / 2.0, PROB_FLOOR)
-        ll = _mle_likelihood(weights, f_plus, f_minus, p_plus, p_minus)
+        ll = float(w_plus @ np.log(p_plus) + w_minus @ np.log(p_minus))
         history.append(ll)
         if len(history) > 1 and ll - history[-2] < config.tolerance * max(1.0, abs(ll)):
             converged = True
             break
-        ratio_plus = np.where(f_plus > 0, weights * f_plus / p_plus, 0.0)
-        ratio_minus = np.where(f_minus > 0, weights * f_minus / p_minus, 0.0)
-        ident_coeff = 0.5 * np.sum(ratio_plus + ratio_minus)
-        pauli_coeff = 0.5 * (ratio_plus - ratio_minus)
-        r_op = ident_coeff * np.eye(d) + plan.pauli_sum(pauli_coeff)
+        ratio_plus = w_plus / p_plus
+        ratio_minus = w_minus / p_minus
+        r_op = plan.pauli_sum(0.5 * (ratio_plus - ratio_minus))
+        r_op.flat[:: d + 1] += 0.5 * np.sum(ratio_plus + ratio_minus)
         rho = _hermitize(r_op @ rho @ r_op)
         rho /= np.trace(rho).real
     feas = operator_norm(adjoint_sampling_operator(

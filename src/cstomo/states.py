@@ -9,6 +9,8 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-9
+#: fidelity accepts traces up to 1 + TRACE_TOL; above that its value can exceed 1
+TRACE_TOL = 1e-9
 #: eigenvalues below this are clamped to zero before square roots
 EIG_CLAMP = 1e-12
 
@@ -136,10 +138,16 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Squared fidelity [Tr sqrt(sqrt(sigma) rho sqrt(sigma))]^2."""
+    """Squared fidelity [Tr sqrt(sqrt(sigma) rho sqrt(sigma))]^2.
+
+    Both arguments must be PSD with trace at most one; subnormalized
+    estimates are accepted and score below their normalized versions.
+    """
     if rho.d != sigma.d:
         raise ValueError("dimension mismatch")
     for name, state in (("rho", rho), ("sigma", sigma)):
+        if state.trace > 1.0 + TRACE_TOL:
+            raise ValueError(f"{name} has trace {state.trace:.12g} > 1")
         if not state.is_psd():
             raise ValueError(f"{name} is not positive semidefinite "
                              f"(min eigenvalue {state.min_eigenvalue():.3g})")

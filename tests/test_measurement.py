@@ -14,8 +14,14 @@ from cstomo.measurement import (
     plan_to_dict,
     simulate_measurements,
 )
-from cstomo.pauli import PauliString, all_paulis, pauli_matrix, sample_paulis
-from cstomo.states import haar_random_pure, maximally_mixed
+from cstomo.pauli import (
+    SINGLE_QUBIT_MATRICES,
+    PauliString,
+    all_paulis,
+    pauli_matrix,
+    sample_paulis,
+)
+from cstomo.states import DensityMatrix, haar_random_pure, maximally_mixed
 
 
 def random_hermitian(d, rng):
@@ -68,6 +74,52 @@ def test_pauli_sum_matches_dense_sum():
     assert np.allclose(plan.pauli_sum(coeffs), dense, atol=1e-12)
     with pytest.raises(ValueError):
         plan.pauli_sum(np.ones(plan.m + 1))
+
+
+def kron_pauli(p):
+    """Dense Pauli matrix from Kronecker products, independent of the tables."""
+    mat = np.array([[1.0]], dtype=complex)
+    for c in p.codes:
+        mat = np.kron(mat, SINGLE_QUBIT_MATRICES[c])
+    return mat
+
+
+def test_kernels_match_kronecker_paulis():
+    # with-replacement plans: repeated words and Y factors at every qubit count
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4):
+        d = 1 << n
+        plan = MeasurementPlan(tuple(sample_paulis(n, 3 * d, rng=rng)))
+        assert len({p.index for p in plan.paulis}) < plan.m
+        assert any(2 in p.codes for p in plan.paulis)
+        dense = [kron_pauli(p) for p in plan.paulis]
+        x = random_hermitian(d, rng)
+        expected = np.array([np.trace(p @ x).real for p in dense])
+        assert np.max(np.abs(plan.expectations(x) - expected)) <= 1e-12
+        coeffs = rng.standard_normal(plan.m)
+        expected = sum(c * p for c, p in zip(coeffs, dense))
+        assert np.max(np.abs(plan.pauli_sum(coeffs) - expected)) <= 1e-12
+
+
+def test_expectations_accept_any_layout():
+    rng = np.random.default_rng(12)
+    plan = MeasurementPlan(tuple(sample_paulis(3, 30, rng=rng)))
+    dense = [kron_pauli(p) for p in plan.paulis]
+    x = random_hermitian(8, rng)
+    sym = x.real + x.real.T
+    inputs = {
+        "real dtype": sym,
+        "Fortran order": np.asfortranarray(x),
+        "transposed view": x.T,
+        "DensityMatrix": DensityMatrix(x),
+    }
+    assert not inputs["transposed view"].flags.c_contiguous
+    for label, mat in inputs.items():
+        values = np.asarray(getattr(mat, "mat", mat))
+        expected = np.array([np.trace(p @ values).real for p in dense])
+        assert np.max(np.abs(plan.expectations(mat) - expected)) <= 1e-12, label
+    with pytest.raises(ValueError, match="dimension"):
+        plan.expectations(np.eye(4))
 
 
 def test_complete_set_is_an_isometry():

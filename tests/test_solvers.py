@@ -4,12 +4,18 @@ import pytest
 from cstomo.measurement import (
     EXACT,
     MeasurementPlan,
+    adjoint_sampling_operator,
     apply_sampling_operator,
     simulate_measurements,
 )
 from cstomo.pauli import SINGLE_QUBIT_MATRICES, PauliString, all_paulis, pauli_matrix, sample_paulis
 from cstomo.solvers import (
+    PROB_FLOOR,
     SolverConfig,
+    _fista_stage,
+    _hermitize,
+    _prox_trace,
+    _trace_norm,
     dantzig_selector,
     default_lambda,
     default_mu,
@@ -198,3 +204,158 @@ def test_noise_level_sets_error_scale():
         res = renormalize(matrix_lasso(plan, record.y, 8 / np.sqrt(t)))
         errs.append(trace_distance(res.rho_hat, truth))
     assert errs[1] < errs[0] / 3
+
+
+# --- reference loops ----------------------------------------------------------
+# The loops below are the straightforward forms the solvers replace: FISTA
+# recomputing A(X) for every objective and gradient, and the MLE evaluating its
+# masks, likelihood and identity term inside the loop.  The solvers must follow
+# the same iterates: equal iteration counts, estimates within REFERENCE_TOL in
+# Frobenius norm (only the order of floating-point sums differs).
+
+REFERENCE_TOL = 1e-9
+
+
+def reference_fista_stage(plan, y, mu, X, step, positivity, max_iter, tol):
+    def objective(mat):
+        resid = apply_sampling_operator(plan, mat) - y
+        reg = float(np.trace(mat).real) if positivity else _trace_norm(mat)
+        return 0.5 * float(resid @ resid) + mu * reg
+
+    V = X
+    theta = 1.0
+    history = [objective(X)]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        grad = adjoint_sampling_operator(plan, apply_sampling_operator(plan, V) - y)
+        X_new = _prox_trace(V - step * grad, mu * step, positivity)
+        obj = objective(X_new)
+        if obj > history[-1]:
+            theta = 1.0
+            V = X
+            grad = adjoint_sampling_operator(plan, apply_sampling_operator(plan, V) - y)
+            X_new = _prox_trace(V - step * grad, mu * step, positivity)
+            obj = objective(X_new)
+        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
+        V = X_new + ((theta - 1.0) / theta_new) * (X_new - X)
+        change = np.linalg.norm(X_new - X)
+        X = X_new
+        theta = theta_new
+        history.append(obj)
+        if change < tol * max(1.0, np.linalg.norm(X)):
+            converged = True
+            break
+    return X, history, converged, iterations
+
+
+def reference_mle(plan, record, config):
+    d = plan.d
+    f_plus = record.plus_frequencies()
+    f_minus = 1.0 - f_plus
+    weights = np.ones(plan.m) if record.exact else record.shots.astype(float)
+    rho = np.eye(d, dtype=complex) / d
+    history = []
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        exps = plan.expectations(rho)
+        p_plus = np.maximum((1.0 + exps) / 2.0, PROB_FLOOR)
+        p_minus = np.maximum((1.0 - exps) / 2.0, PROB_FLOOR)
+        terms = np.where(f_plus > 0, f_plus * np.log(p_plus), 0.0)
+        terms = terms + np.where(f_minus > 0, f_minus * np.log(p_minus), 0.0)
+        ll = float(np.sum(weights * terms))
+        history.append(ll)
+        if len(history) > 1 and ll - history[-2] < config.tolerance * max(1.0, abs(ll)):
+            break
+        ratio_plus = np.where(f_plus > 0, weights * f_plus / p_plus, 0.0)
+        ratio_minus = np.where(f_minus > 0, weights * f_minus / p_minus, 0.0)
+        ident_coeff = 0.5 * np.sum(ratio_plus + ratio_minus)
+        pauli_coeff = 0.5 * (ratio_plus - ratio_minus)
+        r_op = ident_coeff * np.eye(d) + plan.pauli_sum(pauli_coeff)
+        rho = _hermitize(r_op @ rho @ r_op)
+        rho /= np.trace(rho).real
+    return rho, history, iterations
+
+
+def fista_instance(seed):
+    truth, plan, record = noisy_instance(seed, n=3, m=40, t=4000)
+    return plan, record.y, 1.0 / sampling_lipschitz(plan)
+
+
+#: the sweep's stopping tolerance; below about 1e-8 the stage runs on to where the
+#: objective changes less than its rounding, and the restart test `obj > previous`
+#: is decided by rounding noise, so the two loops may restart on different steps
+FISTA_TOL = 1e-7
+
+
+@pytest.mark.parametrize("positivity", [False, True])
+def test_fista_stage_follows_reference_iterates(positivity):
+    plan, y, step = fista_instance(20)
+    starts = [np.zeros((8, 8), dtype=complex), np.eye(8, dtype=complex) / 8]
+    for mu, X0 in zip((0.05, 0.5), starts):
+        X, AX, history, converged, iters = _fista_stage(plan, y, mu, X0, step, positivity,
+                                                        3000, FISTA_TOL)
+        X_ref, history_ref, converged_ref, iters_ref = reference_fista_stage(
+            plan, y, mu, X0, step, positivity, 3000, FISTA_TOL)
+        assert iters == iters_ref and converged == converged_ref
+        assert np.linalg.norm(X - X_ref) <= REFERENCE_TOL
+        assert np.allclose(history, history_ref, rtol=1e-12, atol=1e-12)
+        assert np.linalg.norm(AX - apply_sampling_operator(plan, X)) <= REFERENCE_TOL
+
+
+def boundary_record():
+    """Counts on |01>: ZI always reads +1, IZ and ZZ never do, the rest are coin flips."""
+    truth = DensityMatrix(np.diag([0, 1, 0, 0]).astype(complex))
+    words = ("ZI", "IZ", "ZZ", "XX", "XY", "YZ", "ZI", "IY", "XI", "YY")
+    plan = MeasurementPlan(tuple(PauliString.from_label(w) for w in words))
+    record = simulate_measurements(plan, truth, 200 * plan.m, np.random.default_rng(21))
+    return plan, record
+
+
+def test_mle_follows_reference_iterates():
+    rng = np.random.default_rng(22)
+    truth = haar_random_pure(2, rng)
+    complete = MeasurementPlan(tuple(all_paulis(2)))
+    cases = [(complete, simulate_measurements(complete, truth, EXACT)), boundary_record()]
+    _, record = cases[1]
+    assert np.any(record.plus_counts == 0) and np.any(record.plus_counts == record.shots)
+    cases.append(noisy_instance(23, m=16, t=8000)[1:])
+    config = SolverConfig(tolerance=1e-10, max_iterations=2000)
+    for plan, record in cases:
+        result = mle(plan, record, config)
+        rho_ref, history_ref, iters_ref = reference_mle(plan, record, config)
+        assert result.iterations_used == iters_ref
+        assert np.linalg.norm(result.rho_hat.mat - rho_ref) <= REFERENCE_TOL
+        assert np.allclose(result.objective_history, history_ref, rtol=1e-12, atol=1e-12)
+
+
+def count_forward_maps(monkeypatch):
+    calls = []
+    expectations = MeasurementPlan.expectations
+
+    def counting(self, mat):
+        calls.append(1)
+        return expectations(self, mat)
+
+    monkeypatch.setattr(MeasurementPlan, "expectations", counting)
+    return calls
+
+
+def test_fista_stage_makes_one_forward_map_per_iteration(monkeypatch):
+    plan, y, step = fista_instance(24)
+    X0 = np.zeros((8, 8), dtype=complex)
+    calls = count_forward_maps(monkeypatch)
+    *_, iters = _fista_stage(plan, y, 0.05, X0, step, True, 3000, FISTA_TOL)
+    assert iters > 10
+    assert len(calls) <= 1.5 * iters + 1
+    # the reference recomputes A(X) for every objective: two forward maps per iteration
+    calls.clear()
+    *_, iters_ref = reference_fista_stage(plan, y, 0.05, X0, step, True, 3000, FISTA_TOL)
+    assert len(calls) >= 2 * iters_ref + 1
+
+
+def test_mle_makes_one_forward_map_per_iteration(monkeypatch):
+    plan, record = boundary_record()
+    calls = count_forward_maps(monkeypatch)
+    result = mle(plan, record)
+    assert len(calls) == result.iterations_used + 1

@@ -61,6 +61,18 @@ def test_fidelity_rejects_non_psd():
         fidelity(bad, maximally_mixed(2))
 
 
+def test_fidelity_rejects_trace_above_one():
+    rho = haar_random_pure(2, np.random.default_rng(9))
+    sigma = maximally_mixed(2)
+    over = DensityMatrix(1.2 * rho.mat)
+    with pytest.raises(ValueError, match="trace"):
+        fidelity(over, sigma)
+    with pytest.raises(ValueError, match="trace"):
+        fidelity(sigma, over)
+    # subnormalized estimates stay allowed and score below the normalized state
+    assert fidelity(DensityMatrix(0.5 * rho.mat), rho) == pytest.approx(0.5, abs=1e-10)
+
+
 def depolarize_kraus_oracle(rho, gamma):
     """Independent route: explicit per-qubit Kraus sums with dense kron."""
     paulis = [np.eye(2, dtype=complex),
