@@ -30,9 +30,11 @@ from .solvers import (
     dantzig_selector,
     default_lambda,
     default_mu,
+    default_weight,
     matrix_lasso,
     mle,
     renormalize,
+    run_estimator,
 )
 from .certify import FidelityEstimate, StateOracle, certify_fidelity, dfe_distribution
 from .process import (
@@ -51,6 +53,6 @@ from .lowerbound import (
     minimax_copies_bound,
     verify_packing,
 )
-from .cli import ExperimentConfig, run_benchmark
+from .experiment import ExperimentConfig, run_benchmark
 
 __version__ = "0.1.0"

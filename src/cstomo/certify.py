@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString, pauli_expectation, pauli_tables
-from .states import DensityMatrix
+from .states import DensityMatrix, eig_apply, eig_reduce, hermitize
 
 #: eigenvalues of the estimate below this do not count toward its rank
 RANK_CUTOFF = 1e-10
@@ -182,14 +182,12 @@ def dfe_matrix_element(state_oracle: StateOracle, phi_j, phi_k,
 
 
 def positive_part(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
+    return eig_apply(hermitize(mat), lambda w: np.maximum(w, 0.0))
 
 
 def trace_sqrt(mat: np.ndarray) -> float:
     """Tr of the square root of the positive part."""
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
+    return eig_reduce(hermitize(mat), lambda w: np.sqrt(np.maximum(w, 0.0)))
 
 
 def perturbation_shift(g: np.ndarray, e: np.ndarray) -> float:

@@ -1,0 +1,147 @@
+"""The seeded estimator sweep behind `cstomo benchmark` (criterion 5).
+
+Each trial draws one noisy truth and, per m, one plan and record that every
+estimator runs on; cells are averaged over trials into (m, estimator) rows.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from .measurement import EXACT, MeasurementPlan, TimeBudget, budget_split, simulate_measurements
+from .pauli import sample_paulis
+from .solvers import ESTIMATORS, ReconstructionResult, SolverConfig, default_weight, run_estimator
+from .states import depolarize_local, fidelity, haar_random_pure, trace_distance
+
+CSV_HEADER = "m,estimator,mean_fidelity,std_fidelity,mean_trace_distance,std_trace_distance,mean_solver_seconds"
+
+#: solver settings for batch runs: looser than unit-test defaults, still well
+#: below the statistical noise floor of the benchmark
+BENCH_SOLVER = SolverConfig(tolerance=1e-7, max_iterations=2000)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    n: int = 4
+    T: float = 10000.0
+    c: float = 20.0
+    m_grid: tuple[int, ...] = (32, 64, 96, 128, 192, 256)
+    estimators: tuple[str, ...] = ("lasso", "mle")
+    trials: int = 40
+    gamma: float = 0.01
+    seed: int = 0
+    exact: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
+        object.__setattr__(self, "estimators", tuple(self.estimators))
+        if self.trials < 1:
+            raise ValueError("need at least one trial")
+        if not self.m_grid:
+            raise ValueError("m_grid is empty")
+        bad = set(self.estimators) - set(ESTIMATORS)
+        if bad:
+            raise ValueError(f"unknown estimators: {sorted(bad)}")
+        for m in self.m_grid:
+            if m > 4**self.n:
+                raise ValueError(f"m={m} exceeds the {4**self.n} available settings")
+            if not self.exact and self.T - self.c * m <= m:
+                raise ValueError(
+                    f"infeasible m={m}: T={self.T} at cost c={self.c} leaves "
+                    f"under one shot per setting")
+
+    def copies(self, m: int):
+        """Copies t for a grid point: EXACT, or the budget left after c per setting."""
+        return EXACT if self.exact else budget_split(TimeBudget(self.T, self.c, m))
+
+
+@dataclass(frozen=True)
+class BenchmarkRow:
+    m: int
+    estimator: str
+    mean_fidelity: float
+    std_fidelity: float
+    mean_trace_distance: float
+    std_trace_distance: float
+    mean_solver_seconds: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.mean_fidelity <= 1.0:
+            raise ValueError("mean fidelity outside [0, 1]")
+        if min(self.std_fidelity, self.std_trace_distance) < 0:
+            raise ValueError("negative standard deviation")
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def rows_to_csv(rows) -> str:
+    buf = io.StringIO()
+    buf.write(CSV_HEADER + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow([row.m, row.estimator, _fmt(row.mean_fidelity),
+                         _fmt(row.std_fidelity), _fmt(row.mean_trace_distance),
+                         _fmt(row.std_trace_distance), _fmt(row.mean_solver_seconds)])
+    return buf.getvalue()
+
+
+def estimate(name: str, plan: MeasurementPlan, record, t) -> ReconstructionResult:
+    """One estimate as the sweep makes it: the default weight for (plan, t), and
+    BENCH_SOLVER for the Lasso and the Dantzig selector; the MLE keeps its own
+    tighter stopping rule."""
+    config = None if name == "mle" else BENCH_SOLVER
+    return run_estimator(name, plan, record, default_weight(name, plan, t), config)
+
+
+def _benchmark_trial(config: ExperimentConfig, trial_ss, timing):
+    """One trial: one noisy truth, every (m, estimator) cell; returns cell records."""
+    streams = trial_ss.spawn(1 + 2 * len(config.m_grid))
+    state_rng = np.random.default_rng(streams[0])
+    truth = haar_random_pure(config.n, state_rng)
+    if config.gamma > 0:
+        truth = depolarize_local(truth, config.gamma)
+    cells = []
+    for i, m in enumerate(config.m_grid):
+        plan_rng = np.random.default_rng(streams[1 + 2 * i])
+        meas_rng = np.random.default_rng(streams[2 + 2 * i])
+        paulis = sample_paulis(config.n, m, with_replacement=False, rng=plan_rng)
+        plan = MeasurementPlan(tuple(paulis))
+        t = config.copies(m)
+        record = simulate_measurements(plan, truth, t, meas_rng)
+        for name in config.estimators:
+            start = time.perf_counter()
+            rho_hat = estimate(name, plan, record, t).rho_hat
+            secs = time.perf_counter() - start if timing else 0.0
+            cells.append((m, name, fidelity(rho_hat, truth),
+                          trace_distance(rho_hat, truth), secs))
+    return cells
+
+
+def run_benchmark(config: ExperimentConfig, timing: bool = True):
+    """Seeded sweep over (trial, m, estimator); returns (rows, seed manifest)."""
+    master = np.random.SeedSequence(config.seed)
+    trial_seeds = master.spawn(config.trials)
+    buckets = {}
+    for ss in trial_seeds:
+        for m, name, fid, td, secs in _benchmark_trial(config, ss, timing):
+            buckets.setdefault((m, name), []).append((fid, td, secs))
+    rows = []
+    for (m, name) in sorted(buckets):
+        data = np.array(buckets[(m, name)])
+        rows.append(BenchmarkRow(m, name,
+                                 float(data[:, 0].mean()), float(data[:, 0].std()),
+                                 float(data[:, 1].mean()), float(data[:, 1].std()),
+                                 float(data[:, 2].mean())))
+    manifest = {
+        "kind": "benchmark_seeds",
+        "master_seed": config.seed,
+        "trial_spawn_keys": [list(ss.spawn_key) for ss in trial_seeds],
+    }
+    return rows, manifest

@@ -20,8 +20,8 @@ import numpy as np
 
 from .measurement import EXACT, MeasurementPlan, MeasurementRecord
 from .pauli import PauliString, pauli_action, pauli_expectation, pauli_matrix
-from .solvers import SolverConfig, dantzig_selector, matrix_lasso, mle, renormalize
-from .states import DensityMatrix, fidelity
+from .solvers import SolverConfig, run_estimator
+from .states import DensityMatrix, eigh_descending, fidelity
 
 COMPLETENESS_TOL = 1e-9
 #: eigenvalues of a reconstructed Jamiolkowski state below this are dropped
@@ -152,14 +152,8 @@ def channel_from_jamiolkowski(rho_e: DensityMatrix, cutoff: float = KRAUS_CUTOFF
     d = 1 << (d2.bit_length() - 1 >> 1)
     if d * d != d2:
         raise ValueError(f"dimension {d2} is not a square")
-    w, v = np.linalg.eigh(rho_e.mat)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    ops = []
-    for i in range(d2):
-        if w[i] <= cutoff:
-            break
-        ops.append(np.sqrt(d * w[i]) * v[:, i].reshape(d, d))
+    w, v = eigh_descending(rho_e.mat)
+    ops = [np.sqrt(d * w[i]) * v[:, i].reshape(d, d) for i in range(d2) if w[i] > cutoff]
     if not ops:
         raise ValueError("state has no eigenvalue above the Kraus cutoff")
     return QuantumChannel(tuple(ops), d.bit_length() - 1)
@@ -226,9 +220,8 @@ def simulate_process_measurements(channel: QuantumChannel, plan: MeasurementPlan
         raise ValueError("plan must act on twice the channel's qubit count")
     norm = plan.normalization
     if t is EXACT:
-        exps = np.array([
-            channel_pauli_expectation(channel, *split_pauli(p)) for p in plan.paulis
-        ])
+        # by the encoding identity, the values are the plan's expectations on rho_E
+        exps = plan.expectations(jamiolkowski_state(channel))
         zeros = np.zeros(plan.m, dtype=np.int64)
         return MeasurementRecord(norm * exps, zeros, zeros, norm, exact=True)
     t = int(t)
@@ -254,28 +247,19 @@ def simulate_process_measurements(channel: QuantumChannel, plan: MeasurementPlan
     return MeasurementRecord(y, shots_vec, plus, norm)
 
 
-_SOLVERS = {"lasso": matrix_lasso, "dantzig": dantzig_selector, "mle": mle}
-
-
 def reconstruct_channel(record: MeasurementRecord, plan: MeasurementPlan,
                         solver_choice: str = "lasso", regularization: float = None,
                         config: SolverConfig = SolverConfig()):
     """Estimate a channel from process-measurement data.
 
-    Runs the chosen state estimator on the d^2-dimensional encoded-state data,
-    renormalizes, and extracts Kraus operators from the eigendecomposition.
+    Runs the chosen state estimator through `solvers.run_estimator` on the
+    d^2-dimensional encoded-state data (the Lasso and the Dantzig selector
+    need an explicit weight, e.g. `solvers.default_weight`), and extracts
+    Kraus operators from the eigendecomposition.
     Returns (channel_estimate, diagnostics); trace preservation is reported,
     not enforced.
     """
-    if solver_choice not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver_choice!r}")
-    if solver_choice == "mle":
-        result = mle(plan, record, config)
-    else:
-        if regularization is None:
-            raise ValueError("lasso/dantzig need an explicit regularization weight")
-        result = _SOLVERS[solver_choice](plan, record.y, regularization, config)
-        result = renormalize(result)
+    result = run_estimator(solver_choice, plan, record, regularization, config)
     channel = channel_from_jamiolkowski(result.rho_hat)
     diagnostics = {
         "tp_deviation": channel.completeness_deviation(),

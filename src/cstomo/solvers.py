@@ -13,6 +13,7 @@ Three estimators share the sampling-operator machinery:
 
 The first-order methods replace interior-point solving; accuracy is guarded
 by the feasibility / stationarity certificates reported in the result.
+`run_estimator` runs one by name, with the weight `default_weight` picks.
 
 Operator budget per iteration, in forward maps A (one `expectations`) and
 adjoints A* (one `pauli_sum`), besides the eigendecompositions:
@@ -31,15 +32,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .measurement import (
+    EXACT,
     MeasurementPlan,
     MeasurementRecord,
     adjoint_sampling_operator,
     apply_sampling_operator,
 )
-from .states import DensityMatrix, renormalized
+from .states import DensityMatrix, eig_apply, eig_reduce, hermitize, renormalized
 
 #: probability floor before divisions in the MLE iteration
 PROB_FLOOR = 1e-12
+#: the estimators `run_estimator` runs by name
+ESTIMATORS = ("dantzig", "lasso", "mle")
 
 
 @dataclass(frozen=True)
@@ -84,12 +88,8 @@ def _check_plan(plan: MeasurementPlan):
         raise ValueError("plan contains only identity Paulis; nothing to reconstruct")
 
 
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
-
-
 def operator_norm(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(_hermitize(mat)))))
+    return eig_reduce(hermitize(mat), np.abs, np.max)
 
 
 def sampling_lipschitz(plan: MeasurementPlan) -> float:
@@ -103,21 +103,17 @@ def sampling_lipschitz(plan: MeasurementPlan) -> float:
 
 
 def _prox_trace(mat: np.ndarray, thresh: float, positivity: bool) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitize(mat))
     if positivity:
-        w = np.maximum(w - thresh, 0.0)
-    else:
-        w = np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0)
-    return (v * w) @ v.conj().T
+        return eig_apply(hermitize(mat), lambda w: np.maximum(w - thresh, 0.0))
+    return eig_apply(hermitize(mat), lambda w: np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0))
 
 
 def _project_opnorm_ball(mat: np.ndarray, radius: float) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitize(mat))
-    return (v * np.clip(w, -radius, radius)) @ v.conj().T
+    return eig_apply(hermitize(mat), lambda w: np.clip(w, -radius, radius))
 
 
 def _trace_norm(mat: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh(_hermitize(mat)))))
+    return eig_reduce(hermitize(mat), np.abs)
 
 
 def _fista_stage(plan, y, mu, X, step, positivity, max_iter, tol):
@@ -192,7 +188,7 @@ def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
     X, AX, history, converged, iterations = _fista_stage(
         plan, y, mu, X, step, config.positivity, config.max_iterations, config.tolerance)
     feas = operator_norm(adjoint_sampling_operator(plan, AX - y))
-    return ReconstructionResult(DensityMatrix(_hermitize(X)), tuple(history), feas,
+    return ReconstructionResult(DensityMatrix(hermitize(X)), tuple(history), feas,
                                 iterations, converged)
 
 
@@ -256,7 +252,7 @@ def dantzig_selector(plan: MeasurementPlan, y: np.ndarray, lam: float,
     feas = operator_norm(BX - c)
     if feas > lam * (1.0 + 1e-6) and converged:
         converged = False
-    return ReconstructionResult(DensityMatrix(_hermitize(X)), tuple(history), feas,
+    return ReconstructionResult(DensityMatrix(hermitize(X)), tuple(history), feas,
                                 iterations, converged)
 
 
@@ -296,7 +292,7 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
         ratio_minus = w_minus / p_minus
         r_op = plan.pauli_sum(0.5 * (ratio_plus - ratio_minus))
         r_op.flat[:: d + 1] += 0.5 * np.sum(ratio_plus + ratio_minus)
-        rho = _hermitize(r_op @ rho @ r_op)
+        rho = hermitize(r_op @ rho @ r_op)
         rho /= np.trace(rho).real
     feas = operator_norm(adjoint_sampling_operator(
         plan, apply_sampling_operator(plan, rho) - record.y))
@@ -306,3 +302,33 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
 def renormalize(result: ReconstructionResult) -> ReconstructionResult:
     """Divide the estimate by its trace, which must be positive."""
     return replace(result, rho_hat=renormalized(result.rho_hat), renormalized=True)
+
+
+def default_weight(estimator: str, plan: MeasurementPlan, t):
+    """Default trace weight on t copies: 1e-6 when exact; the Lasso's default_mu
+    (unnormalized units) times d/m, i.e. 4d/sqrt(t); the Dantzig default_lambda."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown solver {estimator!r}")
+    if estimator == "mle":
+        return None
+    if t is EXACT:
+        return 1e-6
+    if estimator == "lasso":
+        return default_mu(plan.m, t) * plan.d / plan.m
+    return default_lambda(plan.d, t)
+
+
+def run_estimator(estimator: str, plan: MeasurementPlan, record: MeasurementRecord,
+                  weight: float = None, config: SolverConfig = None) -> ReconstructionResult:
+    """Run the named estimator (config None: its own default); a Lasso or Dantzig
+    estimate is renormalized unless fully shrunk to trace zero."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown solver {estimator!r}")
+    settings = () if config is None else (config,)
+    if estimator == "mle":
+        return mle(plan, record, *settings)
+    if weight is None:
+        raise ValueError("lasso/dantzig need an explicit regularization weight")
+    solve = matrix_lasso if estimator == "lasso" else dantzig_selector
+    result = solve(plan, record.y, weight, *settings)
+    return result if result.rho_hat.trace <= 0 else renormalize(result)

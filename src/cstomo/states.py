@@ -131,10 +131,32 @@ def depolarize_local(rho: DensityMatrix, gamma: float) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+# --- eigen-helpers: they take the matrix as given; callers hermitize as needed
+
+def hermitize(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.conj().T)
+
+
+def eig_apply(mat: np.ndarray, f) -> np.ndarray:
+    """V f(w) V^dagger for the eigendecomposition V w V^dagger of a Hermitian matrix."""
     w, v = np.linalg.eigh(mat)
-    w = np.where(w < EIG_CLAMP, 0.0, w)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * f(w)) @ v.conj().T
+
+
+def eig_reduce(mat: np.ndarray, f, reduce=np.sum) -> float:
+    """reduce(f(w)) over the eigenvalues w of a Hermitian matrix."""
+    return float(reduce(f(np.linalg.eigvalsh(mat))))
+
+
+def eigh_descending(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues in descending order, with their eigenvectors as columns."""
+    w, v = np.linalg.eigh(mat)
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order]
+
+
+def _clamped_sqrt(w: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.where(w < EIG_CLAMP, 0.0, w))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -151,18 +173,15 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         if not state.is_psd():
             raise ValueError(f"{name} is not positive semidefinite "
                              f"(min eigenvalue {state.min_eigenvalue():.3g})")
-    root = _psd_sqrt(sigma.mat)
-    inner = root @ rho.mat @ root
-    w = np.linalg.eigvalsh(inner)
-    w = np.where(w < EIG_CLAMP, 0.0, w)
-    return float(np.sum(np.sqrt(w)) ** 2)
+    root = eig_apply(sigma.mat, _clamped_sqrt)
+    return eig_reduce(root @ rho.mat @ root, _clamped_sqrt) ** 2
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma."""
     if rho.d != sigma.d:
         raise ValueError("dimension mismatch")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat))))
+    return 0.5 * eig_reduce(rho.mat - sigma.mat, np.abs)
 
 
 def truncate_rank(rho: DensityMatrix, r: int) -> tuple[DensityMatrix, float]:
@@ -173,9 +192,7 @@ def truncate_rank(rho: DensityMatrix, r: int) -> tuple[DensityMatrix, float]:
     """
     if not 1 <= r <= rho.d:
         raise ValueError(f"rank {r} out of range for d={rho.d}")
-    w, v = np.linalg.eigh(rho.mat)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
+    w, v = eigh_descending(rho.mat)
     kept = (v[:, :r] * w[:r]) @ v[:, :r].conj().T
     residual = float(np.sum(np.abs(w[r:])))
     return DensityMatrix(kept), residual

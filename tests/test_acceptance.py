@@ -16,7 +16,8 @@ from cstomo.certify import (
     perturbation_shift,
     worst_case_shift,
 )
-from cstomo.cli import ExperimentConfig, main, run_benchmark
+from cstomo.cli import main
+from cstomo.experiment import ExperimentConfig, run_benchmark
 from cstomo.lowerbound import (
     VacuousBoundError,
     alpha_bound,

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cstomo.cli import BenchmarkRow, ExperimentConfig, main, rows_to_csv, run_benchmark
+import cstomo
+from cstomo.cli import main
+from cstomo.experiment import BenchmarkRow, ExperimentConfig, rows_to_csv, run_benchmark
 
 
 def run(argv, capsys):
@@ -90,6 +96,28 @@ def test_benchmark_subcommand_and_dry_run(tmp_path, capsys):
     with open(str(a) + ".seeds.json") as fh:
         seeds = json.load(fh)
     assert seeds["master_seed"] == 1
+
+
+def test_benchmark_rejects_misspelled_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "m_gird": [8, 16], "trails": 2}))
+    code, out, err = run(["benchmark", "--config", str(cfg), "--dry-run"], capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "TypeError"
+    assert "m_gird" in payload["message"]
+
+
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "T": 2000, "c": 20, "m_grid": [8, 16]}))
+    src = Path(cstomo.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cstomo.cli",
+         "benchmark", "--config", str(cfg), "--dry-run"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["m,t", "8,1840", "16,1680"]
 
 
 def test_packing_subcommand(tmp_path, capsys):

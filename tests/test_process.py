@@ -117,6 +117,9 @@ def test_ancilla_free_exact_equals_direct_state_measurement():
     free = simulate_process_measurements(ch, plan, EXACT)
     direct = simulate_measurements(plan, jamiolkowski_state(ch), EXACT)
     assert np.allclose(free.y, direct.y, atol=1e-10)
+    # the record also matches the ancilla-free expression, word by word
+    for p, value in zip(plan.paulis, free.y / free.normalization):
+        assert abs(value - channel_pauli_expectation(ch, *split_pauli(p))) < 1e-10
 
 
 def test_simulated_sample_mean_identity_channel():

@@ -13,19 +13,21 @@ from cstomo.solvers import (
     PROB_FLOOR,
     SolverConfig,
     _fista_stage,
-    _hermitize,
     _prox_trace,
     _trace_norm,
     dantzig_selector,
     default_lambda,
     default_mu,
+    default_weight,
     matrix_lasso,
     mle,
     operator_norm,
     renormalize,
+    run_estimator,
     sampling_lipschitz,
 )
 from cstomo.states import DensityMatrix, fidelity, haar_random_pure, trace_distance
+from cstomo.states import hermitize as _hermitize
 
 
 def noisy_instance(seed, n=2, m=10, t=4000):
@@ -45,6 +47,41 @@ def test_default_weights():
     assert default_mu(96, 10000) == pytest.approx(4 * 96 / 100)
     with pytest.raises(ValueError):
         default_lambda(4, 0)
+
+
+@pytest.mark.parametrize("estimator", ["dantzig", "lasso", "mle"])
+def test_default_weight_rule(estimator):
+    _, plan, _ = noisy_instance(0, n=3, m=40)
+    t = 4000
+    sampled = {"dantzig": 3 * plan.d / np.sqrt(t), "lasso": 4 * plan.d / np.sqrt(t)}
+    if estimator == "mle":
+        assert default_weight(estimator, plan, EXACT) is None
+        assert default_weight(estimator, plan, t) is None
+    else:
+        assert default_weight(estimator, plan, EXACT) == 1e-6
+        assert default_weight(estimator, plan, t) == pytest.approx(sampled[estimator])
+    with pytest.raises(ValueError, match="unknown solver"):
+        default_weight("sdp", plan, t)
+
+
+def test_run_estimator_dispatch():
+    _, plan, record = noisy_instance(5)
+    for name in ("dantzig", "lasso"):
+        result = run_estimator(name, plan, record, default_weight(name, plan, 4000))
+        assert result.renormalized and result.rho_hat.trace == pytest.approx(1.0)
+    # a fully shrunk estimate passes through unrenormalized
+    big = 100 * operator_norm(adjoint_sampling_operator(plan, record.y))
+    zero = run_estimator("dantzig", plan, record, big)
+    assert zero.rho_hat.trace == 0.0 and not zero.renormalized
+    mle_default = run_estimator("mle", plan, record)
+    assert np.array_equal(mle_default.rho_hat.mat, mle(plan, record).rho_hat.mat)
+    config = SolverConfig(tolerance=1e-6, max_iterations=50)
+    assert run_estimator("mle", plan, record, None, config).iterations_used == \
+        mle(plan, record, config).iterations_used
+    with pytest.raises(ValueError, match="regularization"):
+        run_estimator("lasso", plan, record)
+    with pytest.raises(ValueError, match="unknown solver"):
+        run_estimator("sdp", plan, record, 1.0)
 
 
 def test_lasso_matches_convex_reference():
