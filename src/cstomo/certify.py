@@ -80,21 +80,25 @@ def _pauli_overlaps(phi_j: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
     return (phases * phi_k[perms]) @ phi_j.conj()
 
 
-def dfe_distribution(phi_j: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
-    """Importance distribution Pr(i) = |<phi_j|P_i|phi_k>|^2 / d over all d^2 Paulis."""
-    phi_j = np.asarray(phi_j, dtype=complex)
-    phi_k = np.asarray(phi_k, dtype=complex)
+def _importance(phi_j: np.ndarray, phi_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The overlaps <phi_j|P_i|phi_k> and the importance distribution they give."""
     d = phi_j.size
     if phi_k.size != d:
         raise ValueError("dimension mismatch")
     for name, v in (("phi_j", phi_j), ("phi_k", phi_k)):
         if abs(np.linalg.norm(v) - 1.0) > 1e-9:
             raise ValueError(f"{name} is not normalized")
-    probs = np.abs(_pauli_overlaps(phi_j, phi_k)) ** 2 / d
+    overlaps = _pauli_overlaps(phi_j, phi_k)
+    probs = np.abs(overlaps) ** 2 / d
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise AssertionError(f"importance weights sum to {total}, not 1")
-    return probs / total
+    return overlaps, probs / total
+
+
+def dfe_distribution(phi_j: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
+    """Importance distribution Pr(i) = |<phi_j|P_i|phi_k>|^2 / d over all d^2 Paulis."""
+    return _importance(np.asarray(phi_j, dtype=complex), np.asarray(phi_k, dtype=complex))[1]
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,10 @@ def dfe_matrix_element(state_oracle: StateOracle, phi_j, phi_k,
     phi_k = np.asarray(phi_k, dtype=complex)
     d = phi_j.size
     n = d.bit_length() - 1
-    probs = dfe_distribution(phi_j, phi_k)
+    overlaps, probs = _importance(phi_j, phi_k)
     support = np.flatnonzero(probs > 0)
-    weights = _pauli_overlaps(phi_k, phi_j)[support]
+    # Paulis are Hermitian, so <phi_k|P_i|phi_j> is the conjugate overlap
+    weights = overlaps[support].conj()
 
     if state_oracle.exact:
         # no sampling: the exact importance-weighted mean, zero copies consumed

@@ -249,13 +249,14 @@ def simulate_process_measurements(channel: QuantumChannel, plan: MeasurementPlan
 
 def reconstruct_channel(record: MeasurementRecord, plan: MeasurementPlan,
                         solver_choice: str = "lasso", regularization: float = None,
-                        config: SolverConfig = SolverConfig()):
+                        config: SolverConfig = None):
     """Estimate a channel from process-measurement data.
 
     Runs the chosen state estimator through `solvers.run_estimator` on the
     d^2-dimensional encoded-state data (the Lasso and the Dantzig selector
-    need an explicit weight, e.g. `solvers.default_weight`), and extracts
-    Kraus operators from the eigendecomposition.
+    need an explicit weight, e.g. `solvers.default_weight`; config None keeps
+    each estimator's own default), and extracts Kraus operators from the
+    eigendecomposition.
     Returns (channel_estimate, diagnostics); trace preservation is reported,
     not enforced.
     """

@@ -8,8 +8,11 @@ Three estimators share the sampling-operator machinery:
 * matrix Dantzig selector -- trace minimization under an operator-norm bound
   on the correlated residual, solved by linearized ADMM whose consensus step
   projects onto the operator-norm ball (eigenvalue clipping);
-* iterative MLE -- the R*rho*R fixed point for the two-outcome Pauli
-  likelihood, started from the maximally mixed state.
+* MLE -- the two-outcome Pauli likelihood maximized over density matrices
+  by accelerated projected gradient ascent (Shang, Zhang, Ng, PRA 95,
+  062336 (2017)) from the maximally mixed state; the projection maps the
+  eigenvalues onto the simplex, and it stops on the optimality certificate
+  lambda_max(R(rho))/N - 1 <= tolerance.
 
 The first-order methods replace interior-point solving; accuracy is guarded
 by the feasibility / stationarity certificates reported in the result.
@@ -21,8 +24,11 @@ adjoints A* (one `pauli_sum`), besides the eigendecompositions:
 * Lasso: 1 A + 1 A*, since A(X) and A(V) are carried forward; an adaptive
   restart adds 1 A + 1 A*, and each continuation stage starts with 1 A;
 * Dantzig: 3 A + 3 A* (B = A*A three times) and two eigendecompositions;
-* MLE: 1 A + 1 A* (the expectations, then R as one Pauli sum), plus 1 A
-  and 1 A* after the loop for the reported feasibility residual.
+* MLE: 1 A and one eigendecomposition per trial step (the projection, then
+  the likelihood; an Armijo backtrack or a momentum restart adds a trial
+  step), 1 A* for R at the accepted iterate with one eigvalsh for its
+  certificate, and 1 A* for the gradient at the momentum point; 1 A* after
+  the loop for the reported feasibility residual.
 """
 
 from __future__ import annotations
@@ -38,10 +44,13 @@ from .measurement import (
     adjoint_sampling_operator,
     apply_sampling_operator,
 )
-from .states import DensityMatrix, eig_apply, eig_reduce, hermitize, renormalized
+from .states import DensityMatrix, eig_apply, eig_reduce, hermitize, project_simplex, renormalized
 
 #: probability floor before divisions in the MLE iteration
 PROB_FLOOR = 1e-12
+#: MLE step: halvings allowed per Armijo search, and growth after an accepted iterate
+MAX_BACKTRACKS = 60
+STEP_GROWTH = 1.1
 #: the estimators `run_estimator` runs by name
 ESTIMATORS = ("dantzig", "lasso", "mle")
 
@@ -257,12 +266,23 @@ def dantzig_selector(plan: MeasurementPlan, y: np.ndarray, lam: float,
 
 
 def mle(plan: MeasurementPlan, record: MeasurementRecord,
-        config: SolverConfig = SolverConfig(tolerance=1e-10, max_iterations=2000)) -> ReconstructionResult:
-    """Iterative R*rho*R maximum-likelihood estimate for two-outcome Pauli data.
+        config: SolverConfig = SolverConfig(tolerance=1e-7, max_iterations=2000)) -> ReconstructionResult:
+    """Maximum-likelihood estimate for two-outcome Pauli data by accelerated projected gradient.
 
-    R(rho) = sum_i sum_{s=+,-} (f_i^s / p_i^s) Pi_i^s with Pi_i^± = (1 ± P_i)/2,
-    iterated as rho <- N[R rho R] from the maximally mixed state.  Stops when
-    the per-iteration log-likelihood gain drops below the tolerance.
+    Maximizes L(rho) = sum_i w_i^+ log p_i^+ + w_i^- log p_i^- over density
+    matrices from the maximally mixed state, where p_i^± = (1 ± Tr(P_i rho))/2
+    and w_i^± are the observed counts (frequencies for exact records).  Each
+    step goes along the gradient at the momentum point and projects onto the
+    density matrices; an Armijo test against the momentum point picks the
+    step, which grows again after every accepted iterate.  The momentum
+    restarts whenever the likelihood would drop, so the history of accepted
+    iterates never decreases.
+
+    Stops when lambda_max(R(rho))/N - 1 <= tolerance, where
+    R(rho) = sum_i sum_{s=+,-} (w_i^s / p_i^s) Pi_i^s with Pi_i^± = (1 ± P_i)/2
+    and N = sum_i (w_i^+ + w_i^-).  L is concave and Tr(rho R(rho)) = N, so
+    the certificate bounds the log-likelihood gap to the maximum by
+    tolerance * N; `converged` is True exactly when it holds.
     """
     _check_plan(plan)
     if record.m != plan.m:
@@ -274,29 +294,89 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
     # outcomes never seen contribute neither to the likelihood nor to R
     w_plus = np.where(f_plus > 0, weights * f_plus, 0.0)
     w_minus = np.where(f_minus > 0, weights * f_minus, 0.0)
+    total = float(np.sum(w_plus + w_minus))
 
-    rho = np.eye(d, dtype=complex) / d
-    history = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        exps = plan.expectations(rho)
-        p_plus = np.maximum((1.0 + exps) / 2.0, PROB_FLOOR)
-        p_minus = np.maximum((1.0 - exps) / 2.0, PROB_FLOOR)
-        ll = float(w_plus @ np.log(p_plus) + w_minus @ np.log(p_minus))
-        history.append(ll)
-        if len(history) > 1 and ll - history[-2] < config.tolerance * max(1.0, abs(ll)):
-            converged = True
-            break
+    def probabilities(exps):
+        return (np.maximum((1.0 + exps) / 2.0, PROB_FLOOR),
+                np.maximum((1.0 - exps) / 2.0, PROB_FLOOR))
+
+    def log_likelihood(exps):
+        p_plus, p_minus = probabilities(exps)
+        return float(w_plus @ np.log(p_plus) + w_minus @ np.log(p_minus))
+
+    def r_operator(exps):
+        """R's Pauli part, which is the gradient of L on the trace-one set, and its identity term."""
+        p_plus, p_minus = probabilities(exps)
         ratio_plus = w_plus / p_plus
         ratio_minus = w_minus / p_minus
-        r_op = plan.pauli_sum(0.5 * (ratio_plus - ratio_minus))
-        r_op.flat[:: d + 1] += 0.5 * np.sum(ratio_plus + ratio_minus)
-        rho = hermitize(r_op @ rho @ r_op)
-        rho /= np.trace(rho).real
-    feas = operator_norm(adjoint_sampling_operator(
-        plan, apply_sampling_operator(plan, rho) - record.y))
-    return ReconstructionResult(DensityMatrix(rho), tuple(history), feas, iterations, converged)
+        return (plan.pauli_sum(0.5 * (ratio_plus - ratio_minus)),
+                0.5 * float(np.sum(ratio_plus + ratio_minus)))
+
+    def certificate(grad, ident):
+        return (eig_reduce(grad, np.asarray, np.max) + ident) / total - 1.0
+
+    def in_domain(exps):
+        """Every outcome with weight keeps a probability above the floor."""
+        return (np.all(1.0 + exps > 2.0 * PROB_FLOOR, where=w_plus > 0)
+                and np.all(1.0 - exps > 2.0 * PROB_FLOOR, where=w_minus > 0))
+
+    def ascend(V, ll_V, grad_V, step):
+        """Projected step from V, halved until it passes the Armijo test against V."""
+        for _ in range(MAX_BACKTRACKS):
+            X_new = eig_apply(V + step * grad_V, project_simplex)
+            AX_new = plan.expectations(X_new)
+            ll_new = log_likelihood(AX_new)
+            diff = X_new - V
+            model = (ll_V + float(np.vdot(grad_V, diff).real)
+                     - float(np.vdot(diff, diff).real) / (2.0 * step))
+            if ll_new >= model:
+                break
+            step *= 0.5
+        return X_new, AX_new, ll_new, step
+
+    # the curvature of -L at the maximally mixed state is at most d times the
+    # largest total weight on one Pauli word; the first step is its inverse
+    _, word = np.unique([p.index for p in plan.paulis], return_inverse=True)
+    step = 1.0 / (d * float(np.max(np.bincount(word.ravel(), w_plus + w_minus))))
+
+    X = np.eye(d, dtype=complex) / d
+    AX = plan.expectations(X)
+    ll = log_likelihood(AX)
+    grad, ident = r_operator(AX)
+    history = [ll]
+    converged = certificate(grad, ident) <= config.tolerance
+    V, ll_V, grad_V = X, ll, grad
+    theta = 1.0
+    iterations = 0
+    while not converged and iterations < config.max_iterations:
+        iterations += 1
+        X_new, AX_new, ll_new, step = ascend(V, ll_V, grad_V, step)
+        if ll_new < ll and V is not X:
+            # restart: drop the momentum and step from the accepted iterate
+            theta = 1.0
+            X_new, AX_new, ll_new, step = ascend(X, ll, grad, step)
+        if ll_new < ll:
+            break  # no ascent from the accepted iterate: L is flat to rounding
+        X_prev, AX_prev = X, AX
+        X, AX, ll = X_new, AX_new, ll_new
+        grad, ident = r_operator(AX)
+        history.append(ll)
+        converged = certificate(grad, ident) <= config.tolerance
+        step *= STEP_GROWTH
+        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
+        beta = (theta - 1.0) / theta_new
+        theta = theta_new
+        V, ll_V, grad_V = X, ll, grad
+        if beta > 0:
+            AV = AX + beta * (AX - AX_prev)
+            if in_domain(AV):
+                V = X + beta * (X - X_prev)
+                ll_V = log_likelihood(AV)
+                grad_V, _ = r_operator(AV)
+            else:
+                theta = 1.0  # the momentum point leaves the likelihood's domain: restart
+    feas = operator_norm(adjoint_sampling_operator(plan, plan.normalization * AX - record.y))
+    return ReconstructionResult(DensityMatrix(hermitize(X)), tuple(history), feas, iterations, converged)
 
 
 def renormalize(result: ReconstructionResult) -> ReconstructionResult:

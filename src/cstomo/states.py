@@ -155,6 +155,18 @@ def eigh_descending(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
+def project_simplex(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of real eigenvalues onto {x >= 0, sum x = 1}.
+
+    Through `eig_apply` it maps a Hermitian matrix to the nearest density
+    matrix in Frobenius norm (Smolin, Gambetta, Smith, PRL 108, 070502 (2012)).
+    """
+    u = np.sort(w)[::-1]
+    excess = np.cumsum(u) - 1.0
+    k = np.flatnonzero(u * np.arange(1, w.size + 1) > excess)[-1]
+    return np.maximum(w - excess[k] / (k + 1), 0.0)
+
+
 def _clamped_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(w < EIG_CLAMP, 0.0, w))
 
@@ -174,7 +186,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
             raise ValueError(f"{name} is not positive semidefinite "
                              f"(min eigenvalue {state.min_eigenvalue():.3g})")
     root = eig_apply(sigma.mat, _clamped_sqrt)
-    return eig_reduce(root @ rho.mat @ root, _clamped_sqrt) ** 2
+    # the square rounds above 1 on states that agree to rounding
+    return min(eig_reduce(root @ rho.mat @ root, _clamped_sqrt) ** 2, 1.0)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

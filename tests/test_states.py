@@ -12,6 +12,7 @@ from cstomo.states import (
     haar_random_pure,
     haar_random_unitary,
     maximally_mixed,
+    project_simplex,
     pure_state,
     random_rank_r_projection,
     renormalized,
@@ -144,3 +145,39 @@ def test_serialization_round_trip():
     rho = haar_random_pure(2, np.random.default_rng(9))
     back = density_matrix_from_dict(density_matrix_to_dict(rho))
     assert np.allclose(back.mat, rho.mat, atol=0)
+
+
+def test_fidelity_clamped_to_one_on_rounding():
+    """The state pair behind `cstomo process --n 1 --t exact --seed 4 --estimator dantzig`,
+    whose fidelity squares a trace rounded just above 1."""
+    from cstomo.experiment import BENCH_SOLVER
+    from cstomo.measurement import EXACT, MeasurementPlan
+    from cstomo.pauli import all_paulis
+    from cstomo.process import (jamiolkowski_state, reconstruct_channel,
+                                simulate_process_measurements, unitary_channel)
+    from cstomo.states import _clamped_sqrt, eig_apply, eig_reduce
+
+    rng = np.random.default_rng(np.random.SeedSequence(4))
+    channel = unitary_channel(haar_random_unitary(2, rng))
+    plan = MeasurementPlan(tuple(all_paulis(2)))
+    record = simulate_process_measurements(channel, plan, EXACT, rng)
+    estimate, _ = reconstruct_channel(record, plan, "dantzig", 1e-6, BENCH_SOLVER)
+    rho, sigma = jamiolkowski_state(channel), jamiolkowski_state(estimate)
+    root = eig_apply(sigma.mat, _clamped_sqrt)
+    assert eig_reduce(root @ rho.mat @ root, _clamped_sqrt) ** 2 > 1.0
+    assert fidelity(rho, sigma) == 1.0
+
+
+def test_project_simplex_is_the_euclidean_projection():
+    rng = np.random.default_rng(12)
+    assert np.allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
+    on_simplex = np.array([0.5, 0.3, 0.2, 0.0])
+    assert np.allclose(project_simplex(on_simplex), on_simplex)
+    for scale in (0.1, 1.0, 10.0):
+        w = scale * rng.standard_normal(16)
+        x = project_simplex(w)
+        assert np.all(x >= 0) and x.sum() == pytest.approx(1.0, abs=1e-12)
+        # optimality: w - x is one constant tau on the support and at most tau off it
+        shift = w - x
+        tau = shift[x > 0]
+        assert np.ptp(tau) <= 1e-12 and np.all(w[x == 0] <= tau[0] + 1e-12)
