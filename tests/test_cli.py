@@ -136,6 +136,12 @@ def test_process_subcommand(tmp_path, capsys):
     assert code == 0
     fid = float(out.split()[-1])
     assert fid >= 0.99
+    # a sampled Dantzig solve, whose weight 3d/sqrt(t) is a numpy float: the
+    # convergence flag is still written as a JSON boolean
+    code, _, _ = run(["process", "--n", "1", "--t", "1000", "--seed", "1", "--estimator",
+                      "dantzig", "--output", str(tmp_path / "dantzig.json")], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "dantzig.json").read_text())["converged"] is True
 
 
 def test_error_reporting(capsys):

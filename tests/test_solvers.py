@@ -12,6 +12,7 @@ from cstomo.measurement import (
 )
 from cstomo.pauli import SINGLE_QUBIT_MATRICES, PauliString, all_paulis, pauli_matrix, sample_paulis
 from cstomo.solvers import (
+    CHECK_EVERY,
     PROB_FLOOR,
     SolverConfig,
     _fista_stage,
@@ -28,7 +29,7 @@ from cstomo.solvers import (
     run_estimator,
     sampling_lipschitz,
 )
-from cstomo.states import DensityMatrix, fidelity, haar_random_pure, trace_distance
+from cstomo.states import DensityMatrix, eig_apply, fidelity, haar_random_pure, trace_distance
 from cstomo.states import hermitize as _hermitize
 
 
@@ -256,6 +257,8 @@ def test_noise_level_sets_error_scale():
 # the same iterates, with equal iteration counts and estimates within
 # REFERENCE_TOL in Frobenius norm (only the order of floating-point sums
 # differs).  The R*rho*R fixed point: the MLE must reach at least its likelihood.
+# Plain linearized ADMM at 3 A + 3 A* per iteration: run long, the Dantzig
+# selector must reach its trace.
 
 REFERENCE_TOL = 1e-9
 
@@ -319,6 +322,49 @@ def reference_mle(plan, record, config):
         rho = _hermitize(r_op @ rho @ r_op)
         rho /= np.trace(rho).real
     return rho, history, iterations
+
+
+def reference_dantzig(plan, y, lam, config):
+    """Linearized ADMM on Z = B(X) - c with residual balancing every 20 iterations;
+    stops when the primal residual and the step are both below tolerance."""
+    d = plan.d
+
+    def B(mat):
+        return adjoint_sampling_operator(plan, apply_sampling_operator(plan, mat))
+
+    def project_ball(mat):
+        return eig_apply(_hermitize(mat), lambda w: np.clip(w, -lam, lam))
+
+    c = adjoint_sampling_operator(plan, y)
+    L = sampling_lipschitz(plan)
+    rho = 1.0
+    eta = 0.9 / (rho * L * L)
+    X = np.zeros((d, d), dtype=complex)
+    BX = np.zeros((d, d), dtype=complex)
+    Z = project_ball(-c)
+    U = np.zeros((d, d), dtype=complex)
+    scale = max(1.0, np.linalg.norm(c))
+    for iterations in range(1, config.max_iterations + 1):
+        X_prev = X
+        X = _prox_trace(X - eta * rho * B(BX - c - Z + U), eta, True)
+        BX = B(X)
+        Z_prev = Z
+        Z = project_ball(BX - c + U)
+        U = U + BX - c - Z
+        primal = np.linalg.norm(BX - c - Z)
+        dual = rho * np.linalg.norm(B(Z - Z_prev))
+        if iterations % 20 == 0:
+            if primal > 10.0 * dual:
+                rho *= 2.0
+                U /= 2.0
+            elif dual > 10.0 * primal:
+                rho /= 2.0
+                U *= 2.0
+            eta = 0.9 / (rho * L * L)
+        if (primal < config.tolerance * scale
+                and np.linalg.norm(X - X_prev) < config.tolerance * max(1.0, np.linalg.norm(X))):
+            break
+    return X
 
 
 def fista_instance(seed):
@@ -499,3 +545,105 @@ def test_mle_converges_on_criterion_5_trials(monkeypatch):
     run_benchmark(config, timing=False)
     assert len(results) == 12
     assert all(r.converged for r in results), [r.iterations_used for r in results]
+
+
+def dense_dantzig_residual(plan, y, X):
+    """||A*(A(X) - y)|| from Kronecker-product Pauli matrices."""
+    mats = dense_paulis(plan)
+    norm = plan.normalization
+    resid = sum(norm * (norm * np.trace(p @ X).real - y_i) * p for p, y_i in zip(mats, y))
+    return float(np.max(np.abs(np.linalg.eigvalsh(resid))))
+
+
+def dantzig_cases():
+    """Noisy n = 2 and n = 3 instances at the default weight, where X = 0 is infeasible."""
+    cases = []
+    for n, m in ((2, 10), (3, 40)):
+        for seed in (30, 31, 32):
+            _, plan, record = noisy_instance(seed, n=n, m=m, t=4000)
+            lam = default_lambda(plan.d, 4000)
+            assert operator_norm(adjoint_sampling_operator(plan, record.y)) > lam
+            cases.append((plan, record.y, lam))
+    return cases
+
+
+def test_dantzig_feasible_and_matches_reference_trace():
+    config = SolverConfig()
+    for plan, y, lam in dantzig_cases():
+        result = dantzig_selector(plan, y, lam, config)
+        assert result.converged and result.rho_hat.is_psd()
+        assert dense_dantzig_residual(plan, y, result.rho_hat.mat) <= lam * (1 + config.tolerance)
+        X_ref = reference_dantzig(plan, y, lam, SolverConfig(tolerance=1e-12, max_iterations=20000))
+        assert result.rho_hat.trace == pytest.approx(np.trace(X_ref).real, rel=1e-6)
+
+
+def test_dantzig_closed_form_on_complete_data():
+    """Complete exact data on the maximally mixed state make B the identity and
+    c = I/d, so the optimum is (1/d - lam) I; the iterates reach it exactly, where
+    every Anderson difference is zero."""
+    plan = MeasurementPlan(tuple(all_paulis(2)))
+    record = simulate_measurements(plan, DensityMatrix(np.eye(4, dtype=complex) / 4), EXACT)
+    lam = 0.01
+    result = dantzig_selector(plan, record.y, lam)
+    assert result.converged
+    assert np.allclose(result.rho_hat.mat, (0.25 - lam) * np.eye(4), atol=1e-12)
+
+
+def test_dantzig_single_iteration_is_unconverged():
+    for plan, y, lam in dantzig_cases():
+        result = dantzig_selector(plan, y, lam, SolverConfig(max_iterations=1))
+        assert result.iterations_used == 1 and not result.converged
+
+
+def test_dantzig_operator_budget(monkeypatch):
+    """Two forward maps, two adjoints and two eigendecompositions per map; one forward
+    map and one adjoint per certificate, one adjoint for A*(y)."""
+    forward = count_forward_maps(monkeypatch)
+    adjoints = []
+    pauli_sum = MeasurementPlan.pauli_sum
+
+    def counting_sum(self, coeffs):
+        adjoints.append(1)
+        return pauli_sum(self, coeffs)
+
+    monkeypatch.setattr(MeasurementPlan, "pauli_sum", counting_sum)
+    decompositions = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(mat):
+        decompositions.append(1)
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for plan, y, lam in dantzig_cases():
+        for calls in (forward, adjoints, decompositions):
+            calls.clear()
+        result = dantzig_selector(plan, y, lam)
+        iters = result.iterations_used
+        certificates = iters // CHECK_EVERY + 1
+        assert iters > CHECK_EVERY
+        assert len(decompositions) == 2 * iters
+        assert len(forward) <= 2 * iters + certificates
+        assert len(adjoints) <= 2 * iters + certificates + 1
+        # the reference applies B = A*A three times per iteration
+        forward.clear()
+        reference_dantzig(plan, y, lam, SolverConfig(max_iterations=iters))
+        assert len(forward) == 3 * iters
+
+
+def test_dantzig_converges_on_sweep_cells(monkeypatch):
+    """Every Dantzig solve of two criterion-5-style trials at T = 1e5 stops on its
+    certificate under the sweep's solver settings, m = 32 included."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(dantzig_selector(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "dantzig_selector", recording)
+    config = ExperimentConfig(n=4, T=1e5, c=20.0, m_grid=(32, 64, 96, 128, 192, 256),
+                              estimators=("dantzig",), trials=2, gamma=0.01, seed=5)
+    run_benchmark(config, timing=False)
+    assert len(results) == 12
+    assert all(r.converged for r in results), [r.iterations_used for r in results]
+    assert max(r.iterations_used for r in results) < BENCH_SOLVER.max_iterations

@@ -148,24 +148,14 @@ def test_serialization_round_trip():
 
 
 def test_fidelity_clamped_to_one_on_rounding():
-    """The state pair behind `cstomo process --n 1 --t exact --seed 4 --estimator dantzig`,
-    whose fidelity squares a trace rounded just above 1."""
-    from cstomo.experiment import BENCH_SOLVER
-    from cstomo.measurement import EXACT, MeasurementPlan
-    from cstomo.pauli import all_paulis
-    from cstomo.process import (jamiolkowski_state, reconstruct_channel,
-                                simulate_process_measurements, unitary_channel)
+    """A two-qubit pure state against itself, whose fidelity squares a trace
+    rounded just above 1."""
     from cstomo.states import _clamped_sqrt, eig_apply, eig_reduce
 
-    rng = np.random.default_rng(np.random.SeedSequence(4))
-    channel = unitary_channel(haar_random_unitary(2, rng))
-    plan = MeasurementPlan(tuple(all_paulis(2)))
-    record = simulate_process_measurements(channel, plan, EXACT, rng)
-    estimate, _ = reconstruct_channel(record, plan, "dantzig", 1e-6, BENCH_SOLVER)
-    rho, sigma = jamiolkowski_state(channel), jamiolkowski_state(estimate)
-    root = eig_apply(sigma.mat, _clamped_sqrt)
+    rho = haar_random_pure(2, np.random.default_rng(3))
+    root = eig_apply(rho.mat, _clamped_sqrt)
     assert eig_reduce(root @ rho.mat @ root, _clamped_sqrt) ** 2 > 1.0
-    assert fidelity(rho, sigma) == 1.0
+    assert fidelity(rho, rho) == 1.0
 
 
 def test_project_simplex_is_the_euclidean_projection():
