@@ -4,8 +4,9 @@ Fidelity against a rank-r estimate reduces to the r(r+1)/2 matrix elements
 <phi_j|rho|phi_k> in the estimate's eigenbasis.  Each element is estimated by
 importance-sampling Pauli words with probability proportional to
 |<phi_j|P|phi_k>|^2 and measuring single-copy +-1 outcomes of the sampled
-Paulis on the true state; the overlap matrix G is then assembled, clipped to
-its positive part, and F_hat = [Tr sqrt(G+)]^2.
+Paulis on the true state, all of an element's words through one
+MeasurementPlan; the overlap matrix G is then assembled and
+F_hat = [Tr sqrt(G+)]^2, the square root taken on its positive part.
 
 Budget constants (Chebyshev for the importance sampler, Hoeffding for the
 shot noise, each error/failure budget split in half) are explicit below; the
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, pauli_expectation, pauli_tables
-from .states import DensityMatrix, eig_apply, eig_reduce, hermitize
+from .measurement import MeasurementPlan
+from .pauli import pauli_tables
+from .states import DensityMatrix, eig_reduce, hermitize
 
 #: eigenvalues of the estimate below this do not count toward its rank
 RANK_CUTOFF = 1e-10
@@ -38,24 +40,13 @@ class StateOracle:
     def d(self) -> int:
         return self.rho.d
 
-    def expectation(self, p: PauliString) -> float:
-        return pauli_expectation(p, self.rho)
+    def expectations(self, plan: MeasurementPlan) -> np.ndarray:
+        return plan.expectations(self.rho)
 
-    def sample_plus(self, p: PauliString, shots: int, rng) -> int:
-        """Number of +1 outcomes among `shots` single-copy measurements of p."""
-        prob = np.clip((1.0 + self.expectation(p)) / 2.0, 0.0, 1.0)
-        return int(rng.binomial(shots, prob))
-
-
-@dataclass(frozen=True)
-class DfeSample:
-    pauli_index: int
-    importance_weight: complex
-    outcome_estimate: float
-
-    def __post_init__(self):
-        if self.importance_weight == 0:
-            raise ValueError("sampled Pauli has zero importance weight")
+    def sample_plus(self, plan: MeasurementPlan, shots: np.ndarray, rng) -> np.ndarray:
+        """Numbers of +1 outcomes among shots[i] single-copy measurements of word i."""
+        prob = np.clip((1.0 + self.expectations(plan)) / 2.0, 0.0, 1.0)
+        return rng.binomial(shots, prob)
 
 
 @dataclass(frozen=True)
@@ -105,7 +96,6 @@ def dfe_distribution(phi_j: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
 class ElementEstimate:
     value: complex
     copies_used: int
-    samples: tuple[DfeSample, ...]
 
 
 def dfe_budget(eps0: float, delta_jk: float) -> int:
@@ -122,72 +112,55 @@ def dfe_budget(eps0: float, delta_jk: float) -> int:
     return int(budget)
 
 
+def _running_sum(terms: np.ndarray) -> complex:
+    """Sum in index order, so the rounding does not depend on numpy's pairwise blocks."""
+    return np.cumsum(terms)[-1]
+
+
 def dfe_matrix_element(state_oracle: StateOracle, phi_j, phi_k,
                        eps0: float, delta_jk: float, rng) -> ElementEstimate:
     """Estimate <phi_j|rho|phi_k> to additive error eps0 with failure probability delta_jk.
 
     X = Tr(P_i rho) / <phi_k|P_i|phi_j> under the importance distribution has
-    mean <phi_j|rho|phi_k> and variance at most one.  Samples landing on the
-    same Pauli index are aggregated: their shots merge into one binomial draw
-    per index, which is statistically identical to per-sample simulation.
+    mean <phi_j|rho|phi_k> and variance at most one.  The exact mode takes
+    the importance-weighted mean over the whole support from one plan.  The
+    sampled mode splits the samples over the support multinomially, then
+    measures each sampled word once through one plan: samples landing on the
+    same word merge their shots into one binomial draw, which is
+    statistically identical to per-sample simulation.
     """
     phi_j = np.asarray(phi_j, dtype=complex)
     phi_k = np.asarray(phi_k, dtype=complex)
-    d = phi_j.size
-    n = d.bit_length() - 1
+    n = phi_j.size.bit_length() - 1
     overlaps, probs = _importance(phi_j, phi_k)
     support = np.flatnonzero(probs > 0)
-    # Paulis are Hermitian, so <phi_k|P_i|phi_j> is the conjugate overlap
-    weights = overlaps[support].conj()
 
     if state_oracle.exact:
-        # no sampling: the exact importance-weighted mean, zero copies consumed
-        total = 0.0 + 0.0j
-        samples = []
-        for i, w in zip(support, weights):
-            value = state_oracle.expectation(PauliString.from_index(n, int(i)))
-            total += probs[i] * value / w
-            samples.append(DfeSample(int(i), complex(w), float(value)))
-        return ElementEstimate(complex(total), 0, tuple(samples))
+        # no sampling: the exact importance-weighted mean, zero copies consumed;
+        # Paulis are Hermitian, so <phi_k|P_i|phi_j> is the conjugate overlap
+        values = state_oracle.expectations(MeasurementPlan.from_indices(n, support))
+        terms = probs[support] * values / overlaps[support].conj()
+        return ElementEstimate(complex(_running_sum(terms)), 0)
 
     num_samples = dfe_budget(eps0, delta_jk)
-    # multinomial split of the samples over the support, drawn as a chain of
-    # conditional binomials so counts stay exact at int64 scale
-    counts = np.zeros(support.size, dtype=np.int64)
-    remaining = num_samples
-    tail_prob = 1.0
-    for idx in range(support.size - 1):
-        p = probs[support[idx]] / tail_prob
-        counts[idx] = rng.binomial(remaining, min(p, 1.0))
-        remaining -= counts[idx]
-        tail_prob -= probs[support[idx]]
-        if remaining == 0:
-            break
-    counts[-1] += remaining
-
+    # numpy draws the multinomial as a chain of conditional binomials, so the
+    # counts stay exact at int64 scale
+    counts = rng.multinomial(num_samples, probs[support])
+    sampled = counts > 0
+    counts = counts[sampled]
+    words = support[sampled]
+    weights = overlaps[words].conj()
     shot_factor = 2.0 * np.log(2.0 / delta_jk) / (num_samples * (eps0 / 2.0) ** 2)
-    total = 0.0 + 0.0j
-    copies = 0
-    samples = []
-    for idx, (i, w) in enumerate(zip(support, weights)):
-        c = int(counts[idx])
-        if c == 0:
-            continue
-        per_sample_shots = int(np.ceil(shot_factor / abs(w) ** 2))
-        shots = c * per_sample_shots
-        if shots >= BUDGET_LIMIT:
-            raise OverflowError("per-index shot budget exceeds integer precision")
-        p = PauliString.from_index(n, int(i))
-        plus = state_oracle.sample_plus(p, shots, rng)
-        mean_outcome = 2.0 * plus / shots - 1.0
-        total += c * mean_outcome / w
-        copies += shots
-        samples.append(DfeSample(int(i), complex(w), float(mean_outcome)))
-    return ElementEstimate(complex(total / num_samples), copies, tuple(samples))
-
-
-def positive_part(mat: np.ndarray) -> np.ndarray:
-    return eig_apply(hermitize(mat), lambda w: np.maximum(w, 0.0))
+    per_sample_shots = np.ceil(shot_factor / np.abs(weights) ** 2)
+    # tested in float64: the int64 product can wrap before it reaches the limit
+    if np.any(counts * per_sample_shots >= BUDGET_LIMIT):
+        raise OverflowError("per-index shot budget exceeds integer precision")
+    shots = counts * per_sample_shots.astype(np.int64)
+    plus = state_oracle.sample_plus(MeasurementPlan.from_indices(n, words), shots, rng)
+    mean_outcomes = 2.0 * plus / shots - 1.0
+    total = _running_sum(counts * mean_outcomes / weights)
+    # copies in Python ints: each word's shots are below 2^62, their total need not be
+    return ElementEstimate(complex(total / num_samples), sum(shots.tolist()))
 
 
 def trace_sqrt(mat: np.ndarray) -> float:

@@ -234,7 +234,7 @@ def cmd_packing(args):
                                float(cfg["epsilon"]), int(cfg.get("size", 10)),
                                int(cfg.get("max_attempts", 10000)), rng,
                                group=cfg.get("group", "special_orthogonal"))
-    manifest = json.loads(packing_to_manifest(packing, seed))
+    manifest = packing_to_manifest(packing, seed)
     manifest["states"] = [density_matrix_to_dict(s) for s in packing.states]
     _emit(_dump(manifest), cfg.get("output"))
     if not packing.complete:

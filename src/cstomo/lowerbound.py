@@ -11,7 +11,6 @@ to keep the worst-case failure probability below delta.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +154,7 @@ def minimax_copies_bound(s: float, alpha: float, delta: float) -> float:
     return float(numerator / (4.0 * alpha * alpha))
 
 
-def packing_to_manifest(packing: PackingSet, seed=None) -> str:
+def packing_to_manifest(packing: PackingSet, seed=None) -> dict:
     data = {
         "kind": "packing_set",
         "size": packing.size,
@@ -167,4 +166,4 @@ def packing_to_manifest(packing: PackingSet, seed=None) -> str:
     }
     if seed is not None:
         data["seed"] = seed
-    return json.dumps(data, sort_keys=True, indent=1)
+    return data

@@ -35,6 +35,11 @@ class MeasurementPlan:
             raise ValueError("all Paulis in a plan must act on the same qubit count")
         object.__setattr__(self, "paulis", paulis)
 
+    @classmethod
+    def from_indices(cls, n: int, indices) -> "MeasurementPlan":
+        """The plan of the n-qubit words with these canonical indices, in order."""
+        return cls(tuple(PauliString.from_index(n, int(i)) for i in indices))
+
     @property
     def m(self) -> int:
         return len(self.paulis)
@@ -170,13 +175,15 @@ def simulate_measurements(plan: MeasurementPlan, rho: DensityMatrix, t, rng=None
     """Binomial shot-noise simulation: floor(t/m) two-outcome measurements per setting.
 
     Leftover copies t - m*floor(t/m) are discarded.  Passing t=EXACT (None)
-    returns the noiseless record y = A(rho).
+    returns the noiseless record y = A(rho); any other t needs a generator rng.
     """
     exps = plan.expectations(rho.mat)
     norm = plan.normalization
     if t is EXACT or t == np.inf:
         zeros = np.zeros(plan.m, dtype=np.int64)
         return MeasurementRecord(norm * exps, zeros, zeros, norm, exact=True)
+    if rng is None:
+        raise ValueError(f"sampling t={t} copies needs a random generator")
     t = int(t)
     if t < plan.m:
         raise ValueError(f"t={t} cannot allocate one shot to each of {plan.m} settings")
@@ -233,5 +240,4 @@ def plan_to_dict(plan: MeasurementPlan, seed=None) -> dict:
 
 
 def plan_from_dict(data: dict) -> MeasurementPlan:
-    n = int(data["n"])
-    return MeasurementPlan(tuple(PauliString.from_index(n, int(i)) for i in data["indices"]))
+    return MeasurementPlan.from_indices(int(data["n"]), data["indices"])

@@ -109,7 +109,7 @@ _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 def _bit_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-qubit digit shifts and bit weights, and the n x d matrix of basis-state bits.
 
-    Cached per qubit count: DFE builds one word's table per support word.
+    Cached per qubit count: `pauli_action` builds one word's table per call.
     """
     position = np.arange(n - 1, -1, -1)
     basis_bits = ((np.arange(1 << n)[:, None] >> position) & 1).T.copy()

@@ -9,7 +9,10 @@ The key identity is
 
 which lets a 2n-qubit Pauli expectation of rho_E be measured without an
 ancilla: prepare a random eigenvector of conj(P_B), send it through the
-channel, measure P_A, and reweight by the input eigenvalue.
+channel, measure P_A, and reweight by the input eigenvalue.  Averaged over
+the uniform input, the reweighted outcome has exactly the statistics of
+measuring P_A (x) P_B on rho_E, so process data are simulated in that closed
+form by the state sampler.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import EXACT, MeasurementPlan, MeasurementRecord
-from .pauli import PauliString, pauli_action, pauli_expectation, pauli_matrix
+from .measurement import MeasurementPlan, MeasurementRecord, simulate_measurements
+from .pauli import PauliString, pauli_expectation, pauli_matrix
 from .solvers import SolverConfig, run_estimator
 from .states import DensityMatrix, eigh_descending, fidelity
 
@@ -70,29 +73,10 @@ class QuantumChannel:
         return sum(k @ mat @ k.conj().T for k in self.kraus_operators)
 
 
-def identity_channel(n: int) -> QuantumChannel:
-    return QuantumChannel((np.eye(1 << n, dtype=complex),), n)
-
-
 def unitary_channel(u: np.ndarray) -> QuantumChannel:
     u = np.asarray(u, dtype=complex)
     n = u.shape[0].bit_length() - 1
     return QuantumChannel((u,), n)
-
-
-def depolarizing_channel(n: int, gamma: float = 1.0) -> QuantumChannel:
-    """Global depolarizing map rho -> (1-gamma) rho + gamma 1/d.
-
-    Kraus form: sqrt(1 - gamma + gamma/d^2) on the identity and
-    sqrt(gamma)/d on every non-identity Pauli.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    d = 1 << n
-    ops = [np.sqrt(1.0 - gamma + gamma / d**2) * np.eye(d, dtype=complex)]
-    for i in range(1, d * d):
-        ops.append((np.sqrt(gamma) / d) * pauli_matrix(PauliString.from_index(n, i)))
-    return QuantumChannel(tuple(ops), n)
 
 
 def local_depolarizing_channel(n: int, gamma: float) -> QuantumChannel:
@@ -167,12 +151,6 @@ def split_pauli(p: PauliString) -> tuple[PauliString, PauliString]:
     return PauliString(n, p.codes[:n]), PauliString(n, p.codes[n:])
 
 
-def join_paulis(p_a: PauliString, p_b: PauliString) -> PauliString:
-    if p_a.n != p_b.n:
-        raise ValueError("qubit counts differ")
-    return PauliString(p_a.n + p_b.n, p_a.codes + p_b.codes)
-
-
 def channel_pauli_expectation(channel: QuantumChannel, p_a: PauliString,
                               p_b: PauliString) -> float:
     """(1/d) Tr(P_A E(conj(P_B))), the ancilla-free side of the encoding identity."""
@@ -181,70 +159,22 @@ def channel_pauli_expectation(channel: QuantumChannel, p_a: PauliString,
     return pauli_expectation(p_a, channel.apply(pauli_matrix(p_b).conj())) / channel.d
 
 
-# eigenvectors (columns) and eigenvalues of conj(sigma) for each single-qubit
-# code; fixed phase convention so the input-state bookkeeping is reproducible
-_SQRT2 = 1.0 / np.sqrt(2.0)
-_CONJ_EIGENBASES = (
-    (np.eye(2, dtype=complex), np.array([1.0, 1.0])),                                 # I
-    (np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),                  # X
-     np.array([1.0, -1.0])),
-    (np.array([[_SQRT2, _SQRT2], [1j * _SQRT2, -1j * _SQRT2]]),                       # conj(Y) = -Y
-     np.array([-1.0, 1.0])),
-    (np.eye(2, dtype=complex), np.array([1.0, -1.0])),                                # Z
-)
-
-
-def conj_pauli_eigenbasis(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Columns phi_j and eigenvalues lambda_j with conj(P) phi_j = lambda_j phi_j."""
-    vecs = np.array([[1.0]], dtype=complex)
-    vals = np.array([1.0])
-    for c in p.codes:
-        basis, ev = _CONJ_EIGENBASES[c]
-        vecs = np.kron(vecs, basis)
-        vals = np.kron(vals, ev)
-    return vecs, vals
-
-
 def simulate_process_measurements(channel: QuantumChannel, plan: MeasurementPlan,
                                   t, rng=None) -> MeasurementRecord:
     """Ancilla-free shot-noise simulation of 2n-qubit Pauli data on rho_E.
 
-    Per setting (P_A, P_B): draw an eigenvector phi_j of conj(P_B) uniformly,
-    send it through the channel, measure the two-outcome P_A observable, and
-    record the outcome reweighted by the input eigenvalue lambda_j.  Since
-    lambda_j * outcome is itself a +-1 variable, the record keeps the same
-    counts layout as direct state measurement; t = EXACT returns the
-    noiseless identity values.
+    Per setting (P_A, P_B), each shot draws an eigenvector phi_j of conj(P_B)
+    uniformly, sends it through the channel, measures the two-outcome P_A
+    observable with mean q_j, and records the outcome reweighted by the input
+    eigenvalue lambda_j.  Inputs are independent across shots, so a reweighted
+    outcome is one +-1 draw with Pr(+1) = mean_j (1 + lambda_j q_j) / 2, which
+    the encoding identity turns into (1 + Tr((P_A (x) P_B) rho_E)) / 2: the
+    record is direct state measurement of rho_E, same counts layout, and
+    t = EXACT returns the noiseless identity values.
     """
     if plan.n != 2 * channel.n:
         raise ValueError("plan must act on twice the channel's qubit count")
-    norm = plan.normalization
-    if t is EXACT:
-        # by the encoding identity, the values are the plan's expectations on rho_E
-        exps = plan.expectations(jamiolkowski_state(channel))
-        zeros = np.zeros(plan.m, dtype=np.int64)
-        return MeasurementRecord(norm * exps, zeros, zeros, norm, exact=True)
-    t = int(t)
-    if t < plan.m:
-        raise ValueError(f"t={t} cannot allocate one shot to each of {plan.m} settings")
-    shots = t // plan.m
-    d = channel.d
-    plus = np.zeros(plan.m, dtype=np.int64)
-    for i, p in enumerate(plan.paulis):
-        p_a, p_b = split_pauli(p)
-        vecs, vals = conj_pauli_eigenbasis(p_b)
-        # Heisenberg picture: <P_A> on output j is <phi_j| sum_K K^dag P_A K |phi_j>
-        action = pauli_action(p_a)
-        heisenberg = sum(k.conj().T @ (action.phases[:, None] * k[action.permutation])
-                         for k in channel.kraus_operators)
-        q = np.sum(vecs.conj() * (heisenberg @ vecs), axis=0).real
-        # Pr(lambda_j * outcome = +1 | input j), then mix over the uniform j
-        probs = np.clip((1.0 + vals * q) / 2.0, 0.0, 1.0)
-        counts = rng.multinomial(shots, np.full(d, 1.0 / d))
-        plus[i] = sum(rng.binomial(int(c), probs[j]) for j, c in enumerate(counts) if c)
-    shots_vec = np.full(plan.m, shots, dtype=np.int64)
-    y = norm * (2.0 * plus / shots - 1.0)
-    return MeasurementRecord(y, shots_vec, plus, norm)
+    return simulate_measurements(plan, jamiolkowski_state(channel), t, rng)
 
 
 def reconstruct_channel(record: MeasurementRecord, plan: MeasurementPlan,

@@ -4,7 +4,7 @@ Three estimators share the sampling-operator machinery:
 
 * matrix Lasso -- least squares with a trace penalty, solved by accelerated
   proximal gradient (FISTA with adaptive restart); the proximal map is
-  eigenvalue soft-thresholding, clamped to the PSD cone when positivity is on;
+  eigenvalue soft-thresholding clamped to the PSD cone;
 * matrix Dantzig selector -- trace minimization under an operator-norm bound
   on the correlated residual, solved by linearized ADMM whose consensus step
   projects onto the operator-norm ball (eigenvalue clipping), written as a
@@ -69,7 +69,6 @@ ESTIMATORS = ("dantzig", "lasso", "mle")
 class SolverConfig:
     tolerance: float = 1e-9
     max_iterations: int = 5000
-    positivity: bool = True
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -131,7 +130,7 @@ def _trace_norm(mat: np.ndarray) -> float:
     return eig_reduce(hermitize(mat), np.abs)
 
 
-def _fista_stage(plan, y, mu, X, step, positivity, max_iter, tol):
+def _fista_stage(plan, y, mu, X, step, max_iter, tol):
     """FISTA with adaptive restart from warm start X; returns (X, A(X), history, converged, iters).
 
     A is linear, so A(X) and A(V) are carried forward with the iterates
@@ -140,12 +139,11 @@ def _fista_stage(plan, y, mu, X, step, positivity, max_iter, tol):
 
     def objective(mat, a_mat):
         resid = a_mat - y
-        reg = float(np.trace(mat).real) if positivity else _trace_norm(mat)
-        return 0.5 * float(resid @ resid) + mu * reg
+        return 0.5 * float(resid @ resid) + mu * float(np.trace(mat).real)
 
     def prox_step(V, AV):
         grad = adjoint_sampling_operator(plan, AV - y)
-        X_new = _prox_trace(V - step * grad, mu * step, positivity)
+        X_new = _prox_trace(V - step * grad, mu * step, True)
         AX_new = apply_sampling_operator(plan, X_new)
         return X_new, AX_new, objective(X_new, AX_new)
 
@@ -177,7 +175,7 @@ def _fista_stage(plan, y, mu, X, step, positivity, max_iter, tol):
 
 def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
                  config: SolverConfig = SolverConfig()) -> ReconstructionResult:
-    """Minimize (1/2)||A(X) - y||^2 + mu Tr(X) over X >= 0 (or +mu||X||_tr over Hermitian).
+    """Minimize (1/2)||A(X) - y||^2 + mu Tr(X) over X >= 0.
 
     Solved by accelerated proximal gradient.  For mu far below the data scale
     a cold start crawls, so a continuation schedule first solves with a large
@@ -197,11 +195,11 @@ def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
     stage_mu = 0.2 * data_scale
     ladder_floor = max(mu, 1e-9 * data_scale)
     while stage_mu > 4.0 * ladder_floor:
-        X, _, _, _, _ = _fista_stage(plan, y, stage_mu, X, step, config.positivity,
+        X, _, _, _, _ = _fista_stage(plan, y, stage_mu, X, step,
                                      min(400, config.max_iterations), config.tolerance)
         stage_mu /= 4.0
     X, AX, history, converged, iterations = _fista_stage(
-        plan, y, mu, X, step, config.positivity, config.max_iterations, config.tolerance)
+        plan, y, mu, X, step, config.max_iterations, config.tolerance)
     feas = operator_norm(adjoint_sampling_operator(plan, AX - y))
     return ReconstructionResult(DensityMatrix(hermitize(X)), tuple(history), feas,
                                 iterations, converged)

@@ -73,12 +73,6 @@ def pure_state(vec: np.ndarray) -> DensityMatrix:
     return DensityMatrix(np.outer(vec, vec.conj()))
 
 
-def basis_state(n: int, k: int = 0) -> DensityMatrix:
-    vec = np.zeros(1 << n, dtype=complex)
-    vec[k] = 1.0
-    return pure_state(vec)
-
-
 def maximally_mixed(n: int) -> DensityMatrix:
     d = 1 << n
     return DensityMatrix(np.eye(d) / d)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cstomo.certify import (
+    BUDGET_LIMIT,
     StateOracle,
     certify_fidelity,
     dfe_budget,
@@ -9,11 +10,10 @@ from cstomo.certify import (
     dfe_matrix_element,
     element_error_budget,
     perturbation_shift,
-    positive_part,
     trace_sqrt,
     worst_case_shift,
 )
-from cstomo.pauli import PauliString, pauli_matrix
+from cstomo.pauli import PauliString, pauli_expectation, pauli_matrix
 from cstomo.states import (
     DensityMatrix,
     fidelity,
@@ -97,7 +97,91 @@ def test_matrix_element_sampled_diagonal():
     est = dfe_matrix_element(StateOracle(rho), phi, phi, 0.05, 0.2, rng)
     assert abs(est.value - 1.0) < 0.05
     assert est.copies_used > 0
-    assert all(s.importance_weight != 0 for s in est.samples)
+
+
+def reference_dfe_matrix_element(rho, exact, phi_j, phi_k, eps0, delta_jk, rng):
+    """Word by word: one expectation, or one binomial draw, per support word.
+
+    Returns (value, copies); the samples are split over the support by a
+    chain of conditional binomials.
+    """
+    n = phi_j.size.bit_length() - 1
+    probs = dfe_distribution(phi_j, phi_k)
+    support = np.flatnonzero(probs > 0)
+    weights = [np.vdot(phi_k, pauli_matrix(PauliString.from_index(n, int(i))) @ phi_j)
+               for i in support]
+    if exact:
+        total = 0.0 + 0.0j
+        for i, w in zip(support, weights):
+            total += probs[i] * pauli_expectation(PauliString.from_index(n, int(i)), rho) / w
+        return complex(total), 0
+
+    num_samples = dfe_budget(eps0, delta_jk)
+    counts = np.zeros(support.size, dtype=np.int64)
+    remaining = num_samples
+    tail_prob = 1.0
+    for idx in range(support.size - 1):
+        p = probs[support[idx]] / tail_prob
+        counts[idx] = rng.binomial(remaining, min(p, 1.0))
+        remaining -= counts[idx]
+        tail_prob -= probs[support[idx]]
+        if remaining == 0:
+            break
+    counts[-1] += remaining
+
+    shot_factor = 2.0 * np.log(2.0 / delta_jk) / (num_samples * (eps0 / 2.0) ** 2)
+    total = 0.0 + 0.0j
+    copies = 0
+    for idx, (i, w) in enumerate(zip(support, weights)):
+        c = int(counts[idx])
+        if c == 0:
+            continue
+        shots = c * int(np.ceil(shot_factor / abs(w) ** 2))
+        if shots >= BUDGET_LIMIT:
+            raise OverflowError("per-index shot budget exceeds integer precision")
+        value = pauli_expectation(PauliString.from_index(n, int(i)), rho)
+        plus = int(rng.binomial(shots, np.clip((1.0 + value) / 2.0, 0.0, 1.0)))
+        total += c * (2.0 * plus / shots - 1.0) / w
+        copies += shots
+    return complex(total / num_samples), copies
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("exact", [True, False])
+def test_matrix_element_matches_word_by_word_reference(n, exact):
+    """The one-plan estimator draws the same samples and shots as the per-word
+    loop from the same seed, and agrees with it on the value."""
+    d = 1 << n
+    rng = np.random.default_rng(50 + n)
+    rho = random_rank_r_projection(n, 2, rng, group="unitary")
+    phi_j, phi_k = random_state_vec(d, rng), random_state_vec(d, rng)
+    for a, b in ((phi_j, phi_k), (phi_j, phi_j)):
+        for seed in (1, 2):
+            est = dfe_matrix_element(StateOracle(rho, exact=exact), a, b, 0.05, 0.1,
+                                     np.random.default_rng(seed))
+            value, copies = reference_dfe_matrix_element(rho, exact, a, b, 0.05, 0.1,
+                                                         np.random.default_rng(seed))
+            assert est.copies_used == copies
+            assert abs(est.value - value) <= 1e-12
+            assert (copies > 0) != exact
+
+
+class AllOnRarestWord:
+    """A generator stub that puts every importance sample on the least likely word."""
+
+    def multinomial(self, n, pvals):
+        counts = np.zeros(len(pvals), dtype=np.int64)
+        counts[np.argmin(pvals)] = n
+        return counts
+
+
+def test_matrix_element_shot_budget_overflow_raises():
+    theta = 5e-16  # <phi|X|phi> = sin(2 theta) = 1e-15 for a real phi
+    phi = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+    probs = dfe_distribution(phi, phi)
+    assert 2 * probs[1] == pytest.approx(1e-30, rel=1e-6)  # |w|^2 = d Pr(X)
+    with pytest.raises(OverflowError, match="shot budget"):
+        dfe_matrix_element(StateOracle(pure_state(phi)), phi, phi, 0.1, 0.1, AllOnRarestWord())
 
 
 def test_budget_formulas():
@@ -112,7 +196,6 @@ def test_budget_formulas():
 
 def test_positive_part_and_trace_sqrt():
     g = np.diag([4.0, -1.0])
-    assert np.allclose(positive_part(g), np.diag([4.0, 0.0]))
     assert trace_sqrt(g) == pytest.approx(2.0)
 
 
@@ -138,7 +221,7 @@ def test_error_bound_chain():
         e = (e + e.conj().T) / 2
         e *= eps0 / np.linalg.norm(e)
         f = trace_sqrt(g) ** 2
-        f_hat = trace_sqrt(positive_part(g + e)) ** 2
+        f_hat = trace_sqrt(g + e) ** 2
         assert abs(f - f_hat) <= 2 * r**0.75 * np.sqrt(2 * eps0) + 1e-12
 
 

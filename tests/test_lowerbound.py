@@ -99,5 +99,5 @@ def test_minimax_bound_signals_vacuity():
 def test_manifest():
     rng = np.random.default_rng(4)
     packing = generate_packing(8, 1, 0.4, 2, 200, rng)
-    text = packing_to_manifest(packing, seed=4)
-    assert '"size": 2' in text and '"seed": 4' in text
+    manifest = packing_to_manifest(packing, seed=4)
+    assert manifest["size"] == 2 and manifest["seed"] == 4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cstomo.measurement import EXACT, MeasurementPlan, simulate_measurements
-from cstomo.pauli import PauliString, all_paulis, pauli_matrix
+from cstomo.pauli import PauliString, all_paulis, pauli_matrix, sample_paulis
 from cstomo.process import (
     QuantumChannel,
     channel_from_dict,
@@ -10,12 +10,8 @@ from cstomo.process import (
     channel_pauli_expectation,
     channel_to_dict,
     compose,
-    conj_pauli_eigenbasis,
-    depolarizing_channel,
-    identity_channel,
     jamiolkowski_fidelity,
     jamiolkowski_state,
-    join_paulis,
     local_depolarizing_channel,
     random_channel,
     reconstruct_channel,
@@ -24,6 +20,47 @@ from cstomo.process import (
     unitary_channel,
 )
 from cstomo.states import haar_random_unitary
+
+
+def identity_channel(n):
+    return unitary_channel(np.eye(1 << n))
+
+
+# eigenvectors (columns) and eigenvalues of conj(sigma) for each single-qubit
+# code, the inputs an ancilla-free experiment prepares
+_SQRT2 = 1.0 / np.sqrt(2.0)
+_CONJ_EIGENBASES = (
+    (np.eye(2, dtype=complex), np.array([1.0, 1.0])),                                 # I
+    (np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),                  # X
+     np.array([1.0, -1.0])),
+    (np.array([[_SQRT2, _SQRT2], [1j * _SQRT2, -1j * _SQRT2]]),                       # conj(Y) = -Y
+     np.array([-1.0, 1.0])),
+    (np.eye(2, dtype=complex), np.array([1.0, -1.0])),                                # Z
+)
+
+
+def conj_pauli_eigenbasis(p):
+    """Columns phi_j and eigenvalues lambda_j with conj(P) phi_j = lambda_j phi_j."""
+    vecs = np.array([[1.0]], dtype=complex)
+    vals = np.array([1.0])
+    for c in p.codes:
+        basis, ev = _CONJ_EIGENBASES[c]
+        vecs = np.kron(vecs, basis)
+        vals = np.kron(vals, ev)
+    return vecs, vals
+
+
+def protocol_plus_probabilities(channel, p):
+    """Pr(lambda_j * outcome = +1 | input phi_j) for each eigenvector phi_j of conj(P_B).
+
+    The protocol step by step: send phi_j through the channel, measure P_A
+    (Heisenberg picture: <phi_j| sum_K K^dag P_A K |phi_j>), reweight by lambda_j.
+    """
+    p_a, p_b = split_pauli(p)
+    vecs, vals = conj_pauli_eigenbasis(p_b)
+    heisenberg = sum(k.conj().T @ pauli_matrix(p_a) @ k for k in channel.kraus_operators)
+    q = np.sum(vecs.conj() * (heisenberg @ vecs), axis=0).real
+    return (1.0 + vals * q) / 2.0
 
 
 def test_channel_validation():
@@ -44,7 +81,7 @@ def test_jamiolkowski_identity_is_bell_projector():
 
 
 def test_jamiolkowski_fully_depolarizing_is_maximally_mixed():
-    rho = jamiolkowski_state(depolarizing_channel(1, 1.0))
+    rho = jamiolkowski_state(local_depolarizing_channel(1, 1.0))
     assert np.allclose(rho.mat, np.eye(4) / 4, atol=1e-12)
 
 
@@ -85,7 +122,7 @@ def test_identity_channel_pauli_orthogonality():
 
 
 def test_depolarizing_kills_nonidentity_rows():
-    ch = depolarizing_channel(2, 1.0)
+    ch = local_depolarizing_channel(2, 1.0)
     p = PauliString.from_label("XZ")
     for pb in all_paulis(2):
         assert channel_pauli_expectation(ch, p, pb) == pytest.approx(0.0, abs=1e-12)
@@ -105,7 +142,6 @@ def test_split_join_round_trip():
     p = PauliString.from_label("XZYI")
     a, b = split_pauli(p)
     assert a.label == "XZ" and b.label == "YI"
-    assert join_paulis(a, b).label == "XZYI"
     with pytest.raises(ValueError):
         split_pauli(PauliString.from_label("XYZ"))
 
@@ -120,6 +156,29 @@ def test_ancilla_free_exact_equals_direct_state_measurement():
     # the record also matches the ancilla-free expression, word by word
     for p, value in zip(plan.paulis, free.y / free.normalization):
         assert abs(value - channel_pauli_expectation(ch, *split_pauli(p))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_matches_per_input_protocol(n):
+    """The sampler's Pr(+1) = (1 + Tr((P_A x P_B) rho_E)) / 2 is the mean of the
+    protocol's per-input probabilities, on complete and sampled plans."""
+    rng = np.random.default_rng(40 + n)
+    ch = random_channel(n, 2, rng)
+    rho_e = jamiolkowski_state(ch)
+    for plan in (MeasurementPlan(tuple(all_paulis(2 * n))),
+                 MeasurementPlan(tuple(sample_paulis(2 * n, 30, rng=rng)))):
+        protocol = np.array([protocol_plus_probabilities(ch, p).mean() for p in plan.paulis])
+        assert np.max(np.abs(protocol - (1.0 + plan.expectations(rho_e)) / 2.0)) <= 1e-12
+        record = simulate_process_measurements(ch, plan, EXACT)
+        assert np.max(np.abs(protocol - record.plus_frequencies())) <= 1e-12
+
+
+def test_sampled_data_need_a_generator():
+    plan = MeasurementPlan(tuple(all_paulis(2)))
+    with pytest.raises(ValueError, match="random generator"):
+        simulate_process_measurements(identity_channel(1), plan, 1000)
+    with pytest.raises(ValueError, match="random generator"):
+        simulate_measurements(plan, jamiolkowski_state(identity_channel(1)), 1000)
 
 
 def test_simulated_sample_mean_identity_channel():

@@ -17,7 +17,6 @@ from cstomo.solvers import (
     SolverConfig,
     _fista_stage,
     _prox_trace,
-    _trace_norm,
     dantzig_selector,
     default_lambda,
     default_mu,
@@ -263,11 +262,10 @@ def test_noise_level_sets_error_scale():
 REFERENCE_TOL = 1e-9
 
 
-def reference_fista_stage(plan, y, mu, X, step, positivity, max_iter, tol):
+def reference_fista_stage(plan, y, mu, X, step, max_iter, tol):
     def objective(mat):
         resid = apply_sampling_operator(plan, mat) - y
-        reg = float(np.trace(mat).real) if positivity else _trace_norm(mat)
-        return 0.5 * float(resid @ resid) + mu * reg
+        return 0.5 * float(resid @ resid) + mu * float(np.trace(mat).real)
 
     V = X
     theta = 1.0
@@ -276,13 +274,13 @@ def reference_fista_stage(plan, y, mu, X, step, positivity, max_iter, tol):
     iterations = 0
     for iterations in range(1, max_iter + 1):
         grad = adjoint_sampling_operator(plan, apply_sampling_operator(plan, V) - y)
-        X_new = _prox_trace(V - step * grad, mu * step, positivity)
+        X_new = _prox_trace(V - step * grad, mu * step, True)
         obj = objective(X_new)
         if obj > history[-1]:
             theta = 1.0
             V = X
             grad = adjoint_sampling_operator(plan, apply_sampling_operator(plan, V) - y)
-            X_new = _prox_trace(V - step * grad, mu * step, positivity)
+            X_new = _prox_trace(V - step * grad, mu * step, True)
             obj = objective(X_new)
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
         V = X_new + ((theta - 1.0) / theta_new) * (X_new - X)
@@ -378,15 +376,13 @@ def fista_instance(seed):
 FISTA_TOL = 1e-7
 
 
-@pytest.mark.parametrize("positivity", [False, True])
-def test_fista_stage_follows_reference_iterates(positivity):
+def test_fista_stage_follows_reference_iterates():
     plan, y, step = fista_instance(20)
     starts = [np.zeros((8, 8), dtype=complex), np.eye(8, dtype=complex) / 8]
     for mu, X0 in zip((0.05, 0.5), starts):
-        X, AX, history, converged, iters = _fista_stage(plan, y, mu, X0, step, positivity,
-                                                        3000, FISTA_TOL)
+        X, AX, history, converged, iters = _fista_stage(plan, y, mu, X0, step, 3000, FISTA_TOL)
         X_ref, history_ref, converged_ref, iters_ref = reference_fista_stage(
-            plan, y, mu, X0, step, positivity, 3000, FISTA_TOL)
+            plan, y, mu, X0, step, 3000, FISTA_TOL)
         assert iters == iters_ref and converged == converged_ref
         assert np.linalg.norm(X - X_ref) <= REFERENCE_TOL
         assert np.allclose(history, history_ref, rtol=1e-12, atol=1e-12)
@@ -499,12 +495,12 @@ def test_fista_stage_makes_one_forward_map_per_iteration(monkeypatch):
     plan, y, step = fista_instance(24)
     X0 = np.zeros((8, 8), dtype=complex)
     calls = count_forward_maps(monkeypatch)
-    *_, iters = _fista_stage(plan, y, 0.05, X0, step, True, 3000, FISTA_TOL)
+    *_, iters = _fista_stage(plan, y, 0.05, X0, step, 3000, FISTA_TOL)
     assert iters > 10
     assert len(calls) <= 1.5 * iters + 1
     # the reference recomputes A(X) for every objective: two forward maps per iteration
     calls.clear()
-    *_, iters_ref = reference_fista_stage(plan, y, 0.05, X0, step, True, 3000, FISTA_TOL)
+    *_, iters_ref = reference_fista_stage(plan, y, 0.05, X0, step, 3000, FISTA_TOL)
     assert len(calls) >= 2 * iters_ref + 1
 
 

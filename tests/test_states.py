@@ -3,7 +3,6 @@ import pytest
 
 from cstomo.states import (
     DensityMatrix,
-    basis_state,
     density_matrix_from_dict,
     density_matrix_to_dict,
     depolarize_local,
@@ -34,7 +33,7 @@ def test_basic_properties():
     assert rho.trace == pytest.approx(1.0)
     assert rho.purity() == pytest.approx(0.25)
     assert rho.numerical_rank() == 4
-    assert basis_state(2, 3).numerical_rank() == 1
+    assert pure_state(np.eye(4)[3]).numerical_rank() == 1
 
 
 def test_fidelity_pure_states():
@@ -50,8 +49,9 @@ def test_fidelity_pure_states():
 
 
 def test_trace_distance_known_values():
-    assert trace_distance(basis_state(1, 0), basis_state(1, 1)) == pytest.approx(1.0)
-    assert trace_distance(basis_state(1, 0), maximally_mixed(1)) == pytest.approx(0.5)
+    zero, one = pure_state(np.eye(2)[0]), pure_state(np.eye(2)[1])
+    assert trace_distance(zero, one) == pytest.approx(1.0)
+    assert trace_distance(zero, maximally_mixed(1)) == pytest.approx(0.5)
     rho = haar_random_pure(2, np.random.default_rng(3))
     assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
