@@ -39,6 +39,7 @@ from .solvers import (
 from .certify import FidelityEstimate, StateOracle, certify_fidelity, dfe_distribution
 from .process import (
     QuantumChannel,
+    ZeroEstimateError,
     channel_pauli_expectation,
     jamiolkowski_state,
     random_channel,

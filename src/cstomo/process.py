@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementPlan, MeasurementRecord, simulate_measurements
+from .measurement import MeasurementPlan, MeasurementRecord, adjoint_sampling_operator, simulate_measurements
 from .pauli import PauliString, pauli_expectation, pauli_matrix
 from .solvers import SolverConfig, run_estimator
 from .states import DensityMatrix, eigh_descending, fidelity
@@ -29,6 +29,10 @@ from .states import DensityMatrix, eigh_descending, fidelity
 COMPLETENESS_TOL = 1e-9
 #: eigenvalues of a reconstructed Jamiolkowski state below this are dropped
 KRAUS_CUTOFF = 1e-8
+
+
+class ZeroEstimateError(ValueError):
+    """The estimate is the zero matrix, from which no channel can be extracted."""
 
 
 @dataclass(frozen=True)
@@ -188,9 +192,15 @@ def reconstruct_channel(record: MeasurementRecord, plan: MeasurementPlan,
     each estimator's own default), and extracts Kraus operators from the
     eigendecomposition.
     Returns (channel_estimate, diagnostics); trace preservation is reported,
-    not enforced.
+    not enforced; a zero estimate raises ZeroEstimateError.
     """
     result = run_estimator(solver_choice, plan, record, regularization, config)
+    if result.rho_hat.trace <= 0:
+        w = np.linalg.eigvalsh(adjoint_sampling_operator(plan, record.y))
+        level = (f"||A*y|| = {np.abs(w).max():.4g}" if solver_choice == "dantzig"
+                 else f"lambda_max(A*y) = {w[-1]:.4g}")
+        raise ZeroEstimateError(f"the {solver_choice} estimate is the zero matrix: its weight "
+                                f"{regularization:.4g} is at or above {level}, where zero is optimal")
     channel = channel_from_jamiolkowski(result.rho_hat)
     diagnostics = {
         "tp_deviation": channel.completeness_deviation(),

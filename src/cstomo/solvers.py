@@ -3,8 +3,9 @@
 Three estimators share the sampling-operator machinery:
 
 * matrix Lasso -- least squares with a trace penalty, solved by accelerated
-  proximal gradient (FISTA with adaptive restart); the proximal map is
-  eigenvalue soft-thresholding clamped to the PSD cone;
+  proximal gradient (FISTA with adaptive restart) down a continuation ladder;
+  the proximal map is eigenvalue soft-thresholding clamped to the PSD cone;
+  every stage stops on the KKT conditions of G = A*(A(X) - y) + mu I;
 * matrix Dantzig selector -- trace minimization under an operator-norm bound
   on the correlated residual, solved by linearized ADMM whose consensus step
   projects onto the operator-norm ball (eigenvalue clipping), written as a
@@ -24,7 +25,9 @@ Operator budget per iteration, in forward maps A (one `expectations`) and
 adjoints A* (one `pauli_sum`), besides the eigendecompositions:
 
 * Lasso: 1 A + 1 A*, since A(X) and A(V) are carried forward; an adaptive
-  restart adds 1 A + 1 A*, and each continuation stage starts with 1 A;
+  restart adds 1 A + 1 A*, and each continuation stage starts with 1 A; a
+  KKT check costs 1 A* and one eigvalsh, every iteration in a warm-up stage
+  and once the relative step is below tolerance in the final one;
 * Dantzig: 2 A + 2 A* and two eigendecompositions per map evaluation
   (B = A*A twice; B(X) is carried with X, and the Anderson extrapolation
   combines it with the same coefficients), and every CHECK_EVERY maps a
@@ -61,6 +64,10 @@ ANDERSON_MEMORY = 16
 CHECK_EVERY = 10
 #: Dantzig ADMM: the penalty stays within [1 / RHO_RANGE, RHO_RANGE]
 RHO_RANGE = 16.0
+#: Lasso continuation: a warm-up stage at penalty mu stops at the KKT tolerance WARM_START_KKT mu
+WARM_START_KKT = 0.01
+#: FISTA restarts on an objective rise above this relative margin, not on rounding noise
+RESTART_MARGIN = 4 * np.finfo(float).eps
 #: the estimators `run_estimator` runs by name
 ESTIMATORS = ("dantzig", "lasso", "mle")
 
@@ -130,11 +137,14 @@ def _trace_norm(mat: np.ndarray) -> float:
     return eig_reduce(hermitize(mat), np.abs)
 
 
-def _fista_stage(plan, y, mu, X, step, max_iter, tol):
+def _fista_stage(plan, y, mu, X, step, max_iter, step_tol, kkt_tol):
     """FISTA with adaptive restart from warm start X; returns (X, A(X), history, converged, iters).
 
     A is linear, so A(X) and A(V) are carried forward with the iterates
-    instead of being recomputed for the objective and the gradient.
+    instead of being recomputed for the objective and the gradient.  Once
+    ||X_new - X|| < step_tol max(1, ||X||), the stage checks the KKT conditions
+    at X, G = A*(A(X) - y) + mu I, and stops, converged, when
+    lambda_min(G) >= -kkt_tol and |<X, G>| <= kkt_tol.
     """
 
     def objective(mat, a_mat):
@@ -155,7 +165,7 @@ def _fista_stage(plan, y, mu, X, step, max_iter, tol):
     iterations = 0
     for iterations in range(1, max_iter + 1):
         X_new, AX_new, obj = prox_step(V, AV)
-        if obj > history[-1]:
+        if obj > history[-1] + RESTART_MARGIN * abs(history[-1]):
             # adaptive restart: drop momentum when the objective backtracks
             theta = 1.0
             X_new, AX_new, obj = prox_step(X, AX)
@@ -167,9 +177,11 @@ def _fista_stage(plan, y, mu, X, step, max_iter, tol):
         X, AX = X_new, AX_new
         theta = theta_new
         history.append(obj)
-        if change < tol * max(1.0, np.linalg.norm(X)):
-            converged = True
-            break
+        if change < step_tol * max(1.0, np.linalg.norm(X)):
+            G = adjoint_sampling_operator(plan, AX - y) + mu * np.eye(plan.d)
+            if np.linalg.eigvalsh(G)[0] >= -kkt_tol and abs(float(np.vdot(X, G).real)) <= kkt_tol:
+                converged = True
+                break
     return X, AX, history, converged, iterations
 
 
@@ -180,7 +192,11 @@ def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
     Solved by accelerated proximal gradient.  For mu far below the data scale
     a cold start crawls, so a continuation schedule first solves with a large
     penalty and warm-starts down a geometric ladder to the requested mu; only
-    the final stage decides convergence and the reported history.
+    the final stage decides convergence and the reported history and
+    iterations.  A warm-up stage at penalty mu' is only a warm start, so it
+    checks its KKT conditions every iteration and stops once they hold to
+    WARM_START_KKT mu'; the final stage checks them at the configured
+    tolerance once its relative step is below it, and `converged` means they hold.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -195,11 +211,11 @@ def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
     stage_mu = 0.2 * data_scale
     ladder_floor = max(mu, 1e-9 * data_scale)
     while stage_mu > 4.0 * ladder_floor:
-        X, _, _, _, _ = _fista_stage(plan, y, stage_mu, X, step,
-                                     min(400, config.max_iterations), config.tolerance)
+        X, _, _, _, _ = _fista_stage(plan, y, stage_mu, X, step, min(400, config.max_iterations),
+                                     np.inf, WARM_START_KKT * stage_mu)
         stage_mu /= 4.0
     X, AX, history, converged, iterations = _fista_stage(
-        plan, y, mu, X, step, config.max_iterations, config.tolerance)
+        plan, y, mu, X, step, config.max_iterations, config.tolerance, config.tolerance)
     feas = operator_norm(adjoint_sampling_operator(plan, AX - y))
     return ReconstructionResult(DensityMatrix(hermitize(X)), tuple(history), feas,
                                 iterations, converged)

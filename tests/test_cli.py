@@ -144,6 +144,18 @@ def test_process_subcommand(tmp_path, capsys):
     assert json.loads((tmp_path / "dantzig.json").read_text())["converged"] is True
 
 
+def test_process_zero_estimate_is_a_typed_error(tmp_path, capsys):
+    # on the complete 256-word plan the default weight 3d/sqrt(t) = 1.52 exceeds
+    # ||A*y|| = 1.21, so the Dantzig estimate is the zero matrix
+    code, _, err = run(["process", "--n", "2", "--t", "1000", "--seed", "3", "--estimator",
+                        "dantzig", "--output", str(tmp_path / "zero.json")], capsys)
+    assert code == 1 and not (tmp_path / "zero.json").exists()
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "ZeroEstimateError"
+    assert "zero matrix" in payload["message"] and "||A*y||" in payload["message"]
+    assert issubclass(cstomo.ZeroEstimateError, ValueError)
+
+
 def test_error_reporting(capsys):
     code, _, err = run(["reconstruct", "--input", "/nonexistent.json"], capsys)
     assert code == 1
