@@ -4,8 +4,9 @@ Fidelity against a rank-r estimate reduces to the r(r+1)/2 matrix elements
 <phi_j|rho|phi_k> in the estimate's eigenbasis.  Each element is estimated by
 importance-sampling Pauli words with probability proportional to
 |<phi_j|P|phi_k>|^2 and measuring single-copy +-1 outcomes of the sampled
-Paulis on the true state, all of an element's words through one
-MeasurementPlan; the overlap matrix G is then assembled and
+Paulis on the true state.  The overlaps of all d^2 words, and the true
+state's expectations, each come from one all-Pauli transform
+(`pauli.pauli_traces`); the overlap matrix G is then assembled and
 F_hat = [Tr sqrt(G+)]^2, the square root taken on its positive part.
 
 Budget constants (Chebyshev for the importance sampler, Hoeffding for the
@@ -16,11 +17,11 @@ unspecified leading constants of the source analysis are all set to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .measurement import MeasurementPlan
-from .pauli import pauli_tables
+from .pauli import pauli_traces
 from .states import DensityMatrix, eig_reduce, hermitize
 
 #: eigenvalues of the estimate below this do not count toward its rank
@@ -40,12 +41,14 @@ class StateOracle:
     def d(self) -> int:
         return self.rho.d
 
-    def expectations(self, plan: MeasurementPlan) -> np.ndarray:
-        return plan.expectations(self.rho)
+    @cached_property
+    def pauli_expectations(self) -> np.ndarray:
+        """Tr(P_i rho) for all d^2 words in canonical order, one transform per oracle."""
+        return pauli_traces(self.rho.mat).real.copy()
 
-    def sample_plus(self, plan: MeasurementPlan, shots: np.ndarray, rng) -> np.ndarray:
-        """Numbers of +1 outcomes among shots[i] single-copy measurements of word i."""
-        prob = np.clip((1.0 + self.expectations(plan)) / 2.0, 0.0, 1.0)
+    def sample_plus(self, words: np.ndarray, shots: np.ndarray, rng) -> np.ndarray:
+        """Numbers of +1 outcomes among shots[i] single-copy measurements of word words[i]."""
+        prob = np.clip((1.0 + self.pauli_expectations[words]) / 2.0, 0.0, 1.0)
         return rng.binomial(shots, prob)
 
 
@@ -64,22 +67,18 @@ class FidelityEstimate:
             raise ValueError("negative copy count")
 
 
-def _pauli_overlaps(phi_j: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
-    """<phi_j|P_i|phi_k> for all d^2 words i in canonical order."""
-    d = phi_j.size
-    perms, phases = pauli_tables(d.bit_length() - 1, np.arange(d * d))
-    return (phases * phi_k[perms]) @ phi_j.conj()
-
-
 def _importance(phi_j: np.ndarray, phi_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The overlaps <phi_j|P_i|phi_k> and the importance distribution they give."""
     d = phi_j.size
     if phi_k.size != d:
         raise ValueError("dimension mismatch")
+    if d < 2 or d & (d - 1):
+        raise ValueError(f"vector length {d} is not a power of two")
     for name, v in (("phi_j", phi_j), ("phi_k", phi_k)):
         if abs(np.linalg.norm(v) - 1.0) > 1e-9:
             raise ValueError(f"{name} is not normalized")
-    overlaps = _pauli_overlaps(phi_j, phi_k)
+    # <phi_j|P_i|phi_k> = Tr(P_i |phi_k><phi_j|)
+    overlaps = pauli_traces(np.outer(phi_k, phi_j.conj()))
     probs = np.abs(overlaps) ** 2 / d
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
@@ -123,22 +122,23 @@ def dfe_matrix_element(state_oracle: StateOracle, phi_j, phi_k,
 
     X = Tr(P_i rho) / <phi_k|P_i|phi_j> under the importance distribution has
     mean <phi_j|rho|phi_k> and variance at most one.  The exact mode takes
-    the importance-weighted mean over the whole support from one plan.  The
-    sampled mode splits the samples over the support multinomially, then
-    measures each sampled word once through one plan: samples landing on the
-    same word merge their shots into one binomial draw, which is
-    statistically identical to per-sample simulation.
+    the importance-weighted mean over the whole support.  The sampled mode
+    splits the samples over the support multinomially, then measures each
+    sampled word once: samples landing on the same word merge their shots
+    into one binomial draw, which is statistically identical to per-sample
+    simulation.
     """
     phi_j = np.asarray(phi_j, dtype=complex)
     phi_k = np.asarray(phi_k, dtype=complex)
-    n = phi_j.size.bit_length() - 1
+    if phi_j.size != state_oracle.d:
+        raise ValueError(f"dimension mismatch: state d={state_oracle.d}, vectors {phi_j.size}")
     overlaps, probs = _importance(phi_j, phi_k)
     support = np.flatnonzero(probs > 0)
 
     if state_oracle.exact:
         # no sampling: the exact importance-weighted mean, zero copies consumed;
         # Paulis are Hermitian, so <phi_k|P_i|phi_j> is the conjugate overlap
-        values = state_oracle.expectations(MeasurementPlan.from_indices(n, support))
+        values = state_oracle.pauli_expectations[support]
         terms = probs[support] * values / overlaps[support].conj()
         return ElementEstimate(complex(_running_sum(terms)), 0)
 
@@ -156,7 +156,7 @@ def dfe_matrix_element(state_oracle: StateOracle, phi_j, phi_k,
     if np.any(counts * per_sample_shots >= BUDGET_LIMIT):
         raise OverflowError("per-index shot budget exceeds integer precision")
     shots = counts * per_sample_shots.astype(np.int64)
-    plus = state_oracle.sample_plus(MeasurementPlan.from_indices(n, words), shots, rng)
+    plus = state_oracle.sample_plus(words, shots, rng)
     mean_outcomes = 2.0 * plus / shots - 1.0
     total = _running_sum(counts * mean_outcomes / weights)
     # copies in Python ints: each word's shots are below 2^62, their total need not be

@@ -45,6 +45,13 @@ class MeasurementPlan:
         return len(self.paulis)
 
     @cached_property
+    def indices(self) -> np.ndarray:
+        """Canonical indices of the plan's words, in plan order (read-only int64)."""
+        indices = np.array([p.index for p in self.paulis], dtype=np.int64)
+        indices.setflags(write=False)
+        return indices
+
+    @cached_property
     def n(self) -> int:
         return self.paulis[0].n
 
@@ -66,7 +73,7 @@ class MeasurementPlan:
         position j.  The gather reads X[perm[k], k] and keeps the real part
         of phase * X; the scatter adds c * phase at (k, perm[k]).
         """
-        perms, phases = pauli_tables(self.n, [p.index for p in self.paulis])
+        perms, phases = pauli_tables(self.n, self.indices)
         rows = np.arange(self.d)
         imag = phases.imag != 0
         gather_slots = 2 * (perms * self.d + rows) + imag
@@ -232,7 +239,7 @@ def plan_to_dict(plan: MeasurementPlan, seed=None) -> dict:
         "kind": "measurement_plan",
         "n": plan.n,
         "paulis": [p.label for p in plan.paulis],
-        "indices": [p.index for p in plan.paulis],
+        "indices": plan.indices.tolist(),
     }
     if seed is not None:
         data["seed"] = seed

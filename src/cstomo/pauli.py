@@ -3,8 +3,9 @@
 An n-qubit Pauli word sigma_1 (x) ... (x) sigma_n has a single nonzero entry
 per row: it permutes computational basis states (flipping the bits under X/Y
 factors) and multiplies by a phase in {+1, -1, +i, -i}.  Expectation values
-go through that O(d) representation; dense matrices are rebuilt only on
-request.
+go through that O(d) representation, and the traces against all 4^n words
+at once through one Walsh-Hadamard transform (`pauli_traces`); dense
+matrices are rebuilt only on request.
 
 Canonical ordering is base 4, big-endian over qubits, with digit map I=0,
 X=1, Y=2, Z=3.  The identity word is index 0; "XZ" on two qubits is index
@@ -119,6 +120,13 @@ def _bit_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return layout
 
 
+def _word_bits(n: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit X/Y bits x and Y/Z bits z of canonical word indices, each (len, n)."""
+    codes = (indices[:, None] >> _bit_layout(n)[0]) & 3
+    z = codes >> 1
+    return (codes ^ z) & 1, z
+
+
 def pauli_tables(n: int, indices) -> tuple[np.ndarray, np.ndarray]:
     """Permutation and phase rows of many words at once, each of shape (len(indices), d).
 
@@ -128,15 +136,56 @@ def pauli_tables(n: int, indices) -> tuple[np.ndarray, np.ndarray]:
     Y = -i Z X.  The cost is a fixed number of array operations in n.
     """
     indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    shifts, weights, basis_bits = _bit_layout(n)
-    codes = (indices[:, None] >> shifts) & 3
-    z = codes >> 1
-    x = (codes ^ z) & 1
+    _, weights, basis_bits = _bit_layout(n)
+    x, z = _word_bits(n, indices)
     perms = np.arange(1 << n) ^ (x @ weights)[:, None]
     phases = _MINUS_I_POWERS[((x * z).sum(axis=1)[:, None] + 2 * (z @ basis_bits)) & 3]
     perms.setflags(write=False)
     phases.setflags(write=False)
     return perms, phases
+
+
+@lru_cache(maxsize=None)
+def _transform_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather slots, Sylvester-Hadamard matrix, and output slots and phases of `pauli_traces`.
+
+    Cached per qubit count, about 40 bytes per word.  For canonical word i
+    with bitmasks (x, z): its value sits at position z * d + x of the
+    transformed matrix and takes the phase (-i)^{popcount(x & z)}.
+    """
+    d = 1 << n
+    _, weights, basis_bits = _bit_layout(n)
+    rows = np.arange(d)
+    gather = ((rows[:, None] ^ rows) * d + rows[:, None]).ravel()
+    hadamard = 1.0 - 2.0 * ((basis_bits.T @ basis_bits) & 1)
+    x, z = _word_bits(n, np.arange(d * d))
+    slots = (z @ weights) * d + x @ weights
+    phases = _MINUS_I_POWERS[(x * z).sum(axis=1) & 3]
+    layout = (gather, hadamard, slots, phases)
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def pauli_traces(mat) -> np.ndarray:
+    """Tr(P_i M) for all 4^n words i in canonical order, for any complex d x d matrix M.
+
+    Tr(P_{x,z} M) = (-i)^{popcount(x & z)} sum_k (-1)^{popcount(k & z)} M[k ^ x, k]:
+    gathering G[k, x] = M[k ^ x, k] turns the sums over k into one real
+    product with the Sylvester-Hadamard matrix: O(d^3) flops in BLAS and
+    O(d^2) memory, where the permutation tables of all words hold d^3 entries.
+    """
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    d = mat.shape[0] if mat.ndim == 2 else 0
+    if mat.shape != (d, d) or d < 2 or d & (d - 1):
+        raise ValueError(f"expected a square matrix with power-of-two size, got shape {mat.shape}")
+    gather, hadamard, slots, phases = _transform_layout(d.bit_length() - 1)
+    g = mat.reshape(-1).take(gather).reshape(d, d)
+    # rows of the float64 view interleave (Re, Im) per x: one real product does both
+    transformed = (hadamard @ g.view(np.float64)).view(complex).reshape(-1)
+    out = transformed.take(slots)
+    out *= phases
+    return out
 
 
 def pauli_action(p: PauliString) -> PauliAction:

@@ -109,7 +109,7 @@ def default_mu(m: int, t: float) -> float:
 
 
 def _check_plan(plan: MeasurementPlan):
-    if all(p.is_identity for p in plan.paulis):
+    if not plan.indices.any():
         raise ValueError("plan contains only identity Paulis; nothing to reconstruct")
 
 
@@ -123,7 +123,7 @@ def sampling_lipschitz(plan: MeasurementPlan) -> float:
     The P_i / sqrt(d) are orthonormal, so A*A is diagonal in them with
     eigenvalue (d^2/m) times the number of times word i occurs in the plan.
     """
-    _, counts = np.unique([p.index for p in plan.paulis], return_counts=True)
+    _, counts = np.unique(plan.indices, return_counts=True)
     return plan.d**2 * int(counts.max()) / plan.m
 
 
@@ -433,7 +433,7 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
 
     # the curvature of -L at the maximally mixed state is at most d times the
     # largest total weight on one Pauli word; the first step is its inverse
-    _, word = np.unique([p.index for p in plan.paulis], return_inverse=True)
+    _, word = np.unique(plan.indices, return_inverse=True)
     step = 1.0 / (d * float(np.max(np.bincount(word.ravel(), w_plus + w_minus))))
 
     X = np.eye(d, dtype=complex) / d

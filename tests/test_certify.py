@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import cstomo.certify
 from cstomo.certify import (
     BUDGET_LIMIT,
     StateOracle,
@@ -13,6 +16,7 @@ from cstomo.certify import (
     trace_sqrt,
     worst_case_shift,
 )
+from cstomo.measurement import MeasurementPlan
 from cstomo.pauli import PauliString, pauli_expectation, pauli_matrix
 from cstomo.states import (
     DensityMatrix,
@@ -50,6 +54,27 @@ def test_distribution_orthogonal_vectors_skip_identity():
 def test_distribution_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
         dfe_distribution(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+
+
+def test_distribution_rejects_non_power_of_two_length():
+    phi = np.ones(3) / np.sqrt(3)
+    with pytest.raises(ValueError, match="length 3 is not a power of two"):
+        dfe_distribution(phi, phi)
+
+
+def test_distribution_memory_is_quadratic():
+    """All d^2 overlaps in O(d^2) memory: no d^3 table of every word's row."""
+    d = 1 << 7
+    rng = np.random.default_rng(9)
+    phi_j, phi_k = random_state_vec(d, rng), random_state_vec(d, rng)
+    dfe_distribution(phi_j, phi_k)  # warm-up: the per-n transform layout is cached
+    tracemalloc.start()
+    try:
+        dfe_distribution(phi_j, phi_k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d * d * np.dtype(complex).itemsize
 
 
 def test_estimator_unbiased_and_bounded_variance():
@@ -245,6 +270,42 @@ def test_certify_tracks_true_fidelity():
     est = certify_fidelity(StateOracle(truth), rho_hat, 0.05, 0.1, rng)
     assert abs(est.value - f) <= 0.05
     assert 0.0 <= est.value <= 1.0
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_certify_transforms_state_once_and_builds_no_plan(monkeypatch, exact):
+    plans = []
+    post_init = MeasurementPlan.__post_init__
+
+    def counting_post_init(self):
+        plans.append(self)
+        post_init(self)
+
+    transformed = []
+    traces = cstomo.certify.pauli_traces
+
+    def counting_traces(mat):
+        transformed.append(mat)
+        return traces(mat)
+
+    monkeypatch.setattr(MeasurementPlan, "__post_init__", counting_post_init)
+    monkeypatch.setattr(cstomo.certify, "pauli_traces", counting_traces)
+    rng = np.random.default_rng(11)
+    rho = random_rank_r_projection(3, 2, rng, group="unitary")
+    est = certify_fidelity(StateOracle(rho, exact=exact), rho, 0.05, 0.1, rng)
+    assert est.value == pytest.approx(1.0, abs=0.05)
+    assert plans == []
+    # one transform of rho, one per matrix element for its overlaps (r = 2: three)
+    assert sum(mat is rho.mat for mat in transformed) == 1
+    assert len(transformed) == 1 + 3
+
+
+def test_matrix_element_rejects_dimension_mismatch():
+    rng = np.random.default_rng(12)
+    phi = random_state_vec(4, rng)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dfe_matrix_element(StateOracle(haar_random_pure(3, rng), exact=True), phi, phi,
+                           0.05, 0.1, rng)
 
 
 def test_certify_input_validation():

@@ -10,8 +10,10 @@ from cstomo.pauli import (
     pauli_action,
     pauli_expectation,
     pauli_matrix,
+    pauli_traces,
     sample_paulis,
 )
+from cstomo.measurement import MeasurementPlan
 
 
 def kron_oracle(p):
@@ -105,3 +107,39 @@ def test_all_paulis_ordering():
 def test_action_matrix_rebuild():
     p = PauliString.from_label("YZX")
     assert np.allclose(action_matrix(pauli_action(p)), kron_oracle(p))
+
+
+def random_complex(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_traces_match_kron(n):
+    """Hermitian, non-Hermitian (phi_k phi_j^dagger) and real inputs, phases included."""
+    d = 1 << n
+    rng = np.random.default_rng(10 + n)
+    g = random_complex((d, d), rng)
+    inputs = (g + g.conj().T,
+              np.outer(random_complex(d, rng), random_complex(d, rng).conj()),
+              rng.standard_normal((d, d)))
+    words = [kron_oracle(p) for p in all_paulis(n)]
+    for mat in inputs:
+        expected = np.array([np.trace(w @ mat) for w in words])
+        assert np.max(np.abs(pauli_traces(mat) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_traces_match_complete_plan(n):
+    d = 1 << n
+    g = random_complex((d, d), np.random.default_rng(20 + n))
+    mat = g + g.conj().T
+    traces = pauli_traces(mat)
+    assert np.max(np.abs(traces.imag)) <= 1e-12
+    expected = MeasurementPlan(tuple(all_paulis(n))).expectations(mat)
+    assert np.max(np.abs(traces.real - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3,), (4,), (3, 3), (2, 4), (1, 1), (2, 2, 2)])
+def test_traces_reject_bad_shapes(shape):
+    with pytest.raises(ValueError, match=r"power-of-two size, got shape"):
+        pauli_traces(np.ones(shape))
