@@ -65,6 +65,17 @@ def _load_config(args) -> dict:
     return cfg
 
 
+class UsageError(ValueError):
+    """A required option was given neither on the command line nor in --config."""
+
+
+def _required(cfg, *keys):
+    missing = ", ".join("--" + key for key in keys if key not in cfg)
+    if missing:
+        raise UsageError(f"the following options are required (or keys in --config): {missing}")
+    return tuple(cfg[key] for key in keys)
+
+
 def _emit(text: str, output):
     if output:
         with open(output, "w") as fh:
@@ -230,8 +241,9 @@ def cmd_packing(args):
     cfg = _load_config(args)
     seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    packing = generate_packing(int(cfg["d"]), int(cfg.get("r", 1)),
-                               float(cfg["epsilon"]), int(cfg.get("size", 10)),
+    d, epsilon = _required(cfg, "d", "epsilon")
+    packing = generate_packing(int(d), int(cfg.get("r", 1)),
+                               float(epsilon), int(cfg.get("size", 10)),
                                int(cfg.get("max_attempts", 10000)), rng,
                                group=cfg.get("group", "special_orthogonal"))
     manifest = packing_to_manifest(packing, seed)
@@ -320,6 +332,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        sub.choices[args.command].error(str(exc))  # usage on stderr, exit status 2
     except Exception as exc:  # noqa: BLE001 - single reporting funnel for the CLI
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -3,7 +3,8 @@
 The sampling operator maps a Hermitian X to the vector with entries
 sqrt(d/m) * Tr(P_i X) over the m Paulis of a plan; the normalization makes
 the expected composition of adjoint and operator the identity when Paulis
-are drawn uniformly with replacement.
+are drawn uniformly with replacement.  Operator and adjoint each take one
+all-Pauli transform (`pauli.pauli_grid`), O(d^3) flops whatever m is.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliString, pauli_tables
+from .pauli import PauliString, grid_slots, pauli_grid, pauli_grid_adjoint
 from .states import DensityMatrix
 
 #: sentinel copy count for noiseless records
@@ -64,44 +65,26 @@ class MeasurementPlan:
         return float(np.sqrt(self.d / self.m))
 
     @cached_property
-    def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Float-view slots and real weights of every table entry, for gather and scatter.
-
-        A word's phases are all real (+-1) or all imaginary (+-i), so each
-        entry touches one float of the complex d x d matrix viewed as
-        float64: the real slot 2j or the imaginary slot 2j + 1 of flat
-        position j.  The gather reads X[perm[k], k] and keeps the real part
-        of phase * X; the scatter adds c * phase at (k, perm[k]).
-        """
-        perms, phases = pauli_tables(self.n, self.indices)
-        rows = np.arange(self.d)
-        imag = phases.imag != 0
-        gather_slots = 2 * (perms * self.d + rows) + imag
-        gather_weights = np.where(imag, -phases.imag, phases.real)
-        scatter_slots = (2 * (rows * self.d + perms) + imag).ravel()
-        scatter_signs = np.where(imag, phases.imag, phases.real)
-        kernels = (gather_slots, gather_weights, scatter_slots, scatter_signs)
-        for arr in kernels:
-            arr.setflags(write=False)
-        return kernels
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        return grid_slots(self.n, self.indices)
 
     def expectations(self, mat) -> np.ndarray:
-        """Vector of Re Tr(P_i X), which is Tr(P_i X) for a Hermitian X, O(m d)."""
+        """Vector of Re Tr(P_i X), which is Tr(P_i X) for a Hermitian X: one `pauli_grid`."""
         mat = np.ascontiguousarray(getattr(mat, "mat", mat), dtype=complex)
         if mat.shape != (self.d, self.d):
             raise ValueError(f"dimension mismatch: plan d={self.d}, matrix {mat.shape}")
-        slots, weights, _, _ = self._kernels
-        return np.einsum("ij,ij->i", mat.reshape(-1).view(np.float64).take(slots), weights)
+        slots, weights = self._slots
+        return pauli_grid(mat).view(np.float64).reshape(-1).take(slots) * weights
 
     def pauli_sum(self, coeffs) -> np.ndarray:
-        """The dense matrix sum_i c_i P_i for real c, one scatter in O(m d)."""
+        """sum_i c_i P_i for real c, the adjoint of `expectations`: one bincount of the
+        signed c_i into the grid (repeated words add), then one `pauli_grid_adjoint`."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.m,):
             raise ValueError(f"expected a length-{self.m} vector, got shape {coeffs.shape}")
-        _, _, slots, signs = self._kernels
-        size = 2 * self.d * self.d
-        flat = np.bincount(slots, (coeffs[:, None] * signs).ravel(), size)
-        return flat.view(complex).reshape(self.d, self.d)
+        slots, weights = self._slots
+        grid = np.bincount(slots, coeffs * weights, 2 * self.d * self.d)
+        return pauli_grid_adjoint(grid.view(complex).reshape(self.d, self.d))
 
 
 @dataclass(frozen=True)

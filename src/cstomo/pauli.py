@@ -2,10 +2,11 @@
 
 An n-qubit Pauli word sigma_1 (x) ... (x) sigma_n has a single nonzero entry
 per row: it permutes computational basis states (flipping the bits under X/Y
-factors) and multiplies by a phase in {+1, -1, +i, -i}.  Expectation values
-go through that O(d) representation, and the traces against all 4^n words
-at once through one Walsh-Hadamard transform (`pauli_traces`); dense
-matrices are rebuilt only on request.
+factors) and multiplies by a phase in {+1, -1, +i, -i}; one word's
+expectation goes through that form in O(d).  Many words go through one
+Walsh-Hadamard transform, O(d^3) flops however many (`pauli_grid`,
+`pauli_traces`), and back (`pauli_grid_adjoint`).  Dense matrices are
+rebuilt only on request.
 
 Canonical ordering is base 4, big-endian over qubits, with digit map I=0,
 X=1, Y=2, Z=3.  The identity word is index 0; "XZ" on two qubits is index
@@ -90,28 +91,13 @@ class PauliString:
         return self.label
 
 
-@dataclass(frozen=True)
-class PauliAction:
-    """Permutation-plus-phase form of a Pauli word.
-
-    The dense matrix has entry (k, permutation[k]) equal to phases[k] and is
-    zero elsewhere; the permutation is an involution.
-    """
-
-    permutation: np.ndarray
-    phases: np.ndarray
-
-
 #: (-i)^k for k mod 4, exact
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 
 
 @lru_cache(maxsize=None)
 def _bit_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-qubit digit shifts and bit weights, and the n x d matrix of basis-state bits.
-
-    Cached per qubit count: `pauli_action` builds one word's table per call.
-    """
+    """Per-qubit digit shifts and bit weights, and the n x d matrix of basis-state bits."""
     position = np.arange(n - 1, -1, -1)
     basis_bits = ((np.arange(1 << n)[:, None] >> position) & 1).T.copy()
     layout = (2 * position, 1 << position, basis_bits)
@@ -120,45 +106,22 @@ def _bit_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return layout
 
 
-def _word_bits(n: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qubit X/Y bits x and Y/Z bits z of canonical word indices, each (len, n)."""
-    codes = (indices[:, None] >> _bit_layout(n)[0]) & 3
-    z = codes >> 1
-    return (codes ^ z) & 1, z
-
-
-def pauli_tables(n: int, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation and phase rows of many words at once, each of shape (len(indices), d).
-
-    Bitmask form: x marks the X/Y factors and z the Y/Z factors, qubit 0 on
-    the most significant bit.  Row k of a word has its nonzero entry in
-    column k ^ x with phase (-i)^{#Y} (-1)^{popcount(k & z)}, since
-    Y = -i Z X.  The cost is a fixed number of array operations in n.
-    """
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    _, weights, basis_bits = _bit_layout(n)
-    x, z = _word_bits(n, indices)
-    perms = np.arange(1 << n) ^ (x @ weights)[:, None]
-    phases = _MINUS_I_POWERS[((x * z).sum(axis=1)[:, None] + 2 * (z @ basis_bits)) & 3]
-    perms.setflags(write=False)
-    phases.setflags(write=False)
-    return perms, phases
-
-
 @lru_cache(maxsize=None)
 def _transform_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gather slots, Sylvester-Hadamard matrix, and output slots and phases of `pauli_traces`.
+    """Gather slots, Sylvester-Hadamard matrix, and grid slots and phases of all words.
 
     Cached per qubit count, about 40 bytes per word.  For canonical word i
     with bitmasks (x, z): its value sits at position z * d + x of the
     transformed matrix and takes the phase (-i)^{popcount(x & z)}.
     """
     d = 1 << n
-    _, weights, basis_bits = _bit_layout(n)
+    shifts, weights, basis_bits = _bit_layout(n)
     rows = np.arange(d)
     gather = ((rows[:, None] ^ rows) * d + rows[:, None]).ravel()
     hadamard = 1.0 - 2.0 * ((basis_bits.T @ basis_bits) & 1)
-    x, z = _word_bits(n, np.arange(d * d))
+    codes = (np.arange(d * d)[:, None] >> shifts) & 3
+    z = codes >> 1
+    x = (codes ^ z) & 1
     slots = (z @ weights) * d + x @ weights
     phases = _MINUS_I_POWERS[(x * z).sum(axis=1) & 3]
     layout = (gather, hadamard, slots, phases)
@@ -167,44 +130,76 @@ def _transform_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return layout
 
 
-def pauli_traces(mat) -> np.ndarray:
-    """Tr(P_i M) for all 4^n words i in canonical order, for any complex d x d matrix M.
+def pauli_grid(mat) -> np.ndarray:
+    """The d x d grid T[z, x] = sum_k (-1)^{popcount(k & z)} M[k ^ x, k] of a complex d x d M.
 
-    Tr(P_{x,z} M) = (-i)^{popcount(x & z)} sum_k (-1)^{popcount(k & z)} M[k ^ x, k]:
-    gathering G[k, x] = M[k ^ x, k] turns the sums over k into one real
-    product with the Sylvester-Hadamard matrix: O(d^3) flops in BLAS and
-    O(d^2) memory, where the permutation tables of all words hold d^3 entries.
+    Tr(P_{x,z} M) = (-i)^{popcount(x & z)} T[z, x]: gathering G[k, x] =
+    M[k ^ x, k] turns the sums over k into one real product with the
+    Sylvester-Hadamard matrix, O(d^3) flops in BLAS and O(d^2) memory.
     """
     mat = np.ascontiguousarray(mat, dtype=complex)
     d = mat.shape[0] if mat.ndim == 2 else 0
     if mat.shape != (d, d) or d < 2 or d & (d - 1):
         raise ValueError(f"expected a square matrix with power-of-two size, got shape {mat.shape}")
-    gather, hadamard, slots, phases = _transform_layout(d.bit_length() - 1)
+    gather, hadamard, _, _ = _transform_layout(d.bit_length() - 1)
     g = mat.reshape(-1).take(gather).reshape(d, d)
     # rows of the float64 view interleave (Re, Im) per x: one real product does both
-    transformed = (hadamard @ g.view(np.float64)).view(complex).reshape(-1)
-    out = transformed.take(slots)
+    return (hadamard @ g.view(np.float64)).view(complex)
+
+
+def pauli_grid_adjoint(grid: np.ndarray) -> np.ndarray:
+    """The adjoint of `pauli_grid`, sum_{z,x} C[z, x] (-i)^{popcount(x & z)} P_{x,z}: one real
+    product with the Sylvester-Hadamard matrix, put back through the gather slots."""
+    d = grid.shape[0]
+    gather, hadamard, _, _ = _transform_layout(d.bit_length() - 1)
+    out = np.empty(d * d, dtype=complex)
+    out[gather] = (hadamard @ grid.view(np.float64)).view(complex).reshape(-1)
+    return out.reshape(d, d)
+
+
+def pauli_traces(mat) -> np.ndarray:
+    """Tr(P_i M) for all 4^n words i in canonical order: one `pauli_grid`, with phases."""
+    grid = pauli_grid(mat)
+    _, _, slots, phases = _transform_layout(grid.shape[0].bit_length() - 1)
+    out = grid.reshape(-1).take(slots)
     out *= phases
     return out
 
 
-def pauli_action(p: PauliString) -> PauliAction:
-    """Compute the permutation and phase vector of `p` in O(d), no dense matrix."""
-    perms, phases = pauli_tables(p.n, [p.index])
-    return PauliAction(perms[0], phases[0])
+def grid_slots(n: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Float64-view slots of `pauli_grid` and +-1 weights giving Re Tr(P_i M) per word.
+
+    A phase is +-1 or +-i, so Re(phase T[z, x]) is a signed real or imaginary part.
+    """
+    _, _, slots, phases = _transform_layout(n)
+    phases = phases[indices]
+    imag = phases.imag != 0
+    out = (2 * slots[indices] + imag, np.where(imag, -phases.imag, phases.real))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
-def action_matrix(action: PauliAction) -> np.ndarray:
-    """Rebuild the dense matrix of a PauliAction (O(d^2) memory)."""
-    d = action.permutation.size
-    mat = np.zeros((d, d), dtype=complex)
-    mat[np.arange(d), action.permutation] = action.phases
-    return mat
+def pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation and phases of `p` in O(d): its entry (k, permutation[k]) is phases[k].
+
+    Column k ^ x, phase (-i)^{#Y} (-1)^{popcount(k & z)} since Y = -i Z X, where
+    x marks the X/Y factors and z the Y/Z factors; the permutation is an involution.
+    """
+    _, weights, basis_bits = _bit_layout(p.n)
+    codes = np.array(p.codes)
+    z = codes >> 1
+    x = (codes ^ z) & 1
+    permutation = np.arange(p.d) ^ int(x @ weights)
+    return permutation, _MINUS_I_POWERS[(int(x @ z) + 2 * (z @ basis_bits)) & 3]
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of `p`, via its permutation-phase action."""
-    return action_matrix(pauli_action(p))
+    """Dense matrix of `p`, rebuilt from its permutation-phase action (O(d^2) memory)."""
+    permutation, phases = pauli_action(p)
+    mat = np.zeros((p.d, p.d), dtype=complex)
+    mat[np.arange(p.d), permutation] = phases
+    return mat
 
 
 def pauli_expectation(p: PauliString, rho) -> float:
@@ -212,8 +207,8 @@ def pauli_expectation(p: PauliString, rho) -> float:
     mat = np.asarray(getattr(rho, "mat", rho))
     if mat.shape != (p.d, p.d):
         raise ValueError(f"dimension mismatch: Pauli acts on d={p.d}, state is {mat.shape}")
-    action = pauli_action(p)
-    value = np.sum(action.phases * mat[action.permutation, np.arange(p.d)])
+    permutation, phases = pauli_action(p)
+    value = np.sum(phases * mat[permutation, np.arange(p.d)])
     if abs(value.imag) > IMAG_TOL:
         raise ValueError(f"Tr(P rho) has imaginary part {value.imag:.3g}; input not Hermitian")
     return float(value.real)

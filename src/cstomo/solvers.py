@@ -25,9 +25,10 @@ Operator budget per iteration, in forward maps A (one `expectations`) and
 adjoints A* (one `pauli_sum`), besides the eigendecompositions:
 
 * Lasso: 1 A + 1 A*, since A(X) and A(V) are carried forward; an adaptive
-  restart adds 1 A + 1 A*, and each continuation stage starts with 1 A; a
-  KKT check costs 1 A* and one eigvalsh, every iteration in a warm-up stage
-  and once the relative step is below tolerance in the final one;
+  restart adds 1 A + 1 A*, and each continuation stage starts with 1 A; the
+  KKT check after every iteration reads the complementarity in O(m) from the
+  carried A(X), and only when that holds pays 1 A* and one eigvalsh for
+  lambda_min(G);
 * Dantzig: 2 A + 2 A* and two eigendecompositions per map evaluation
   (B = A*A twice; B(X) is carried with X, and the Anderson extrapolation
   combines it with the same coefficients), and every CHECK_EVERY maps a
@@ -137,14 +138,20 @@ def _trace_norm(mat: np.ndarray) -> float:
     return eig_reduce(hermitize(mat), np.abs)
 
 
-def _fista_stage(plan, y, mu, X, step, max_iter, step_tol, kkt_tol):
+def _complementarity(X, AX, y, mu) -> float:
+    """<X, G> for G = A*(A(X) - y) + mu I, as <A(X), A(X) - y> + mu Tr X: O(m) from A(X)."""
+    return float(AX @ (AX - y)) + mu * float(np.trace(X).real)
+
+
+def _fista_stage(plan, y, mu, X, step, max_iter, kkt_tol):
     """FISTA with adaptive restart from warm start X; returns (X, A(X), history, converged, iters).
 
     A is linear, so A(X) and A(V) are carried forward with the iterates
-    instead of being recomputed for the objective and the gradient.  Once
-    ||X_new - X|| < step_tol max(1, ||X||), the stage checks the KKT conditions
-    at X, G = A*(A(X) - y) + mu I, and stops, converged, when
-    lambda_min(G) >= -kkt_tol and |<X, G>| <= kkt_tol.
+    instead of being recomputed for the objective and the gradient.  After
+    every iteration the stage checks the KKT conditions at X of
+    G = A*(A(X) - y) + mu I, and stops, converged, when |<X, G>| <= kkt_tol,
+    read in O(m) from A(X), and then lambda_min(G) >= -kkt_tol, which costs
+    1 A* and one eigvalsh.
     """
 
     def objective(mat, a_mat):
@@ -173,13 +180,12 @@ def _fista_stage(plan, y, mu, X, step, max_iter, step_tol, kkt_tol):
         beta = (theta - 1.0) / theta_new
         V = X_new + beta * (X_new - X)
         AV = AX_new + beta * (AX_new - AX)
-        change = np.linalg.norm(X_new - X)
         X, AX = X_new, AX_new
         theta = theta_new
         history.append(obj)
-        if change < step_tol * max(1.0, np.linalg.norm(X)):
+        if abs(_complementarity(X, AX, y, mu)) <= kkt_tol:
             G = adjoint_sampling_operator(plan, AX - y) + mu * np.eye(plan.d)
-            if np.linalg.eigvalsh(G)[0] >= -kkt_tol and abs(float(np.vdot(X, G).real)) <= kkt_tol:
+            if np.linalg.eigvalsh(G)[0] >= -kkt_tol:
                 converged = True
                 break
     return X, AX, history, converged, iterations
@@ -193,10 +199,10 @@ def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
     a cold start crawls, so a continuation schedule first solves with a large
     penalty and warm-starts down a geometric ladder to the requested mu; only
     the final stage decides convergence and the reported history and
-    iterations.  A warm-up stage at penalty mu' is only a warm start, so it
-    checks its KKT conditions every iteration and stops once they hold to
-    WARM_START_KKT mu'; the final stage checks them at the configured
-    tolerance once its relative step is below it, and `converged` means they hold.
+    iterations.  Every stage checks its KKT conditions after every iteration.
+    A warm-up stage at penalty mu' is only a warm start, so it stops once they
+    hold to WARM_START_KKT mu'; the final stage stops once they hold to the
+    configured tolerance, and `converged` means they do.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -212,10 +218,10 @@ def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
     ladder_floor = max(mu, 1e-9 * data_scale)
     while stage_mu > 4.0 * ladder_floor:
         X, _, _, _, _ = _fista_stage(plan, y, stage_mu, X, step, min(400, config.max_iterations),
-                                     np.inf, WARM_START_KKT * stage_mu)
+                                     WARM_START_KKT * stage_mu)
         stage_mu /= 4.0
     X, AX, history, converged, iterations = _fista_stage(
-        plan, y, mu, X, step, config.max_iterations, config.tolerance, config.tolerance)
+        plan, y, mu, X, step, config.max_iterations, config.tolerance)
     feas = operator_norm(adjoint_sampling_operator(plan, AX - y))
     return ReconstructionResult(DensityMatrix(hermitize(X)), tuple(history), feas,
                                 iterations, converged)

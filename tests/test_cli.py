@@ -130,6 +130,25 @@ def test_packing_subcommand(tmp_path, capsys):
     assert len(manifest["states"]) == 3
 
 
+def test_packing_names_missing_options(tmp_path, capsys):
+    for argv, missing in ((["packing", "--d", "8"], "--epsilon"),
+                          (["packing", "--epsilon", "0.4"], "--d"),
+                          (["packing"], "--d, --epsilon")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--output", str(tmp_path / "packing.json")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cstomo packing")
+        assert f"required (or keys in --config): {missing}\n" in err
+        assert "KeyError" not in err and not (tmp_path / "packing.json").exists()
+    # a value from the config file satisfies the requirement
+    config = tmp_path / "packing_config.json"
+    config.write_text(json.dumps({"epsilon": 0.4, "size": 2}))
+    code, _, _ = run(["packing", "--d", "8", "--config", str(config),
+                      "--output", str(tmp_path / "packing.json")], capsys)
+    assert code == 0
+
+
 def test_process_subcommand(tmp_path, capsys):
     code, out, _ = run(["process", "--n", "1", "--t", "exact", "--seed", "4",
                         "--output", str(tmp_path / "proc.json")], capsys)

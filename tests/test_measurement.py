@@ -101,6 +101,59 @@ def test_kernels_match_kronecker_paulis():
         assert np.max(np.abs(plan.pauli_sum(coeffs) - expected)) <= 1e-12
 
 
+def reference_kernels(plan):
+    """The permutation-and-phase table layer that A and A* went through before the
+    all-Pauli transform: float64-view slots and real weights of every table entry.
+
+    Row k of a word has its nonzero entry in column k ^ x with phase
+    (-i)^{#Y} (-1)^{popcount(k & z)}; a word's phases are all +-1 or all +-i,
+    so each entry touches one real or one imaginary float of the d x d matrix.
+    """
+    n, d = plan.n, plan.d
+    position = np.arange(n - 1, -1, -1)
+    codes = (plan.indices[:, None] >> (2 * position)) & 3
+    z = codes >> 1
+    x = (codes ^ z) & 1
+    basis_bits = (np.arange(d)[:, None] >> position) & 1
+    perms = np.arange(d) ^ (x @ (1 << position))[:, None]
+    phases = np.array([1, -1j, -1, 1j])[((x * z).sum(axis=1)[:, None] + 2 * (z @ basis_bits.T)) & 3]
+    rows = np.arange(d)
+    imag = phases.imag != 0
+    gather_slots = 2 * (perms * d + rows) + imag
+    gather_weights = np.where(imag, -phases.imag, phases.real)
+    scatter_slots = (2 * (rows * d + perms) + imag).ravel()
+    scatter_signs = np.where(imag, phases.imag, phases.real)
+    return gather_slots, gather_weights, scatter_slots, scatter_signs
+
+
+def reference_expectations(plan, mat):
+    slots, weights, _, _ = reference_kernels(plan)
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    return np.einsum("ij,ij->i", mat.reshape(-1).view(np.float64).take(slots), weights)
+
+
+def reference_pauli_sum(plan, coeffs):
+    _, _, slots, signs = reference_kernels(plan)
+    flat = np.bincount(slots, (coeffs[:, None] * signs).ravel(), 2 * plan.d * plan.d)
+    return flat.view(complex).reshape(plan.d, plan.d)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_transform_matches_reference_kernels(n):
+    """With-replacement plans at n = 5 and 6 (repeated words, Y factors), on Hermitian,
+    non-Hermitian and real inputs; the two routes differ in summation order only."""
+    rng = np.random.default_rng(14 + n)
+    d = 1 << n
+    plan = MeasurementPlan(tuple(sample_paulis(n, 3 * d * d // 4, rng=rng)))
+    assert len({p.index for p in plan.paulis}) < plan.m
+    assert any(2 in p.codes for p in plan.paulis)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for mat in (g + g.conj().T, g, g.real):
+        assert np.max(np.abs(plan.expectations(mat) - reference_expectations(plan, mat))) <= 1e-12 * d
+    coeffs = rng.standard_normal(plan.m)
+    assert np.max(np.abs(plan.pauli_sum(coeffs) - reference_pauli_sum(plan, coeffs))) <= 1e-12 * d
+
+
 def test_expectations_accept_any_layout():
     rng = np.random.default_rng(12)
     plan = MeasurementPlan(tuple(sample_paulis(3, 30, rng=rng)))
@@ -109,6 +162,9 @@ def test_expectations_accept_any_layout():
     sym = x.real + x.real.T
     inputs = {
         "real dtype": sym,
+        "real non-symmetric": rng.standard_normal((8, 8)),
+        "non-Hermitian": x + 1j * sym,
+        "non-Hermitian Fortran order": np.asfortranarray(x + 1j * sym),
         "Fortran order": np.asfortranarray(x),
         "transposed view": x.T,
         "DensityMatrix": DensityMatrix(x),
@@ -116,6 +172,7 @@ def test_expectations_accept_any_layout():
     assert not inputs["transposed view"].flags.c_contiguous
     for label, mat in inputs.items():
         values = np.asarray(getattr(mat, "mat", mat))
+        # Re Tr(P_i X), whatever the input's symmetry
         expected = np.array([np.trace(p @ values).real for p in dense])
         assert np.max(np.abs(plan.expectations(mat) - expected)) <= 1e-12, label
     with pytest.raises(ValueError, match="dimension"):

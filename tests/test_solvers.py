@@ -382,10 +382,11 @@ def fista_instance(seed):
     return plan, record.y, 1.0 / sampling_lipschitz(plan)
 
 
-#: the sweep's stopping tolerance; below about 1e-8 the stage runs on to where the
-#: objective changes less than its rounding, where the reference's restart test
-#: `obj > previous` is decided by rounding noise while the stage's ignores rises
-#: within RESTART_MARGIN, so the two loops may restart on different steps
+#: the sweep's stopping tolerance; at tighter KKT tolerances (about 1e-9 here) the
+#: stage runs on to where the objective changes less than its rounding, where the
+#: reference's restart test `obj > previous` is decided by rounding noise while the
+#: stage's ignores rises within RESTART_MARGIN, so the two loops may restart on
+#: different steps
 FISTA_TOL = 1e-7
 
 
@@ -393,15 +394,17 @@ def test_fista_stage_follows_reference_iterates():
     plan, y, step = fista_instance(20)
     starts = [np.zeros((8, 8), dtype=complex), np.eye(8, dtype=complex) / 8]
     for mu, X0 in zip((0.05, 0.5), starts):
-        # an infinite KKT tolerance leaves the reference's stop, the step test alone
-        X, AX, history, converged, iters = _fista_stage(plan, y, mu, X0, step, 3000,
-                                                        FISTA_TOL, np.inf)
-        X_ref, history_ref, converged_ref, iters_ref = reference_fista_stage(
-            plan, y, mu, X0, step, 3000, FISTA_TOL)
-        assert iters == iters_ref and converged == converged_ref
+        X, AX, history, converged, iters = _fista_stage(plan, y, mu, X0, step, 3000, FISTA_TOL)
+        assert converged and iters > 10
+        # a zero step tolerance never stops the reference: it runs the stage's iterations
+        X_ref, history_ref, _, iters_ref = reference_fista_stage(
+            plan, y, mu, X0, step, iters, 0.0)
+        assert iters == iters_ref
         assert np.linalg.norm(X - X_ref) <= REFERENCE_TOL
         assert np.allclose(history, history_ref, rtol=1e-12, atol=1e-12)
         assert np.linalg.norm(AX - apply_sampling_operator(plan, X)) <= REFERENCE_TOL
+        lowest, slack = dense_lasso_kkt(plan, y, X, mu)
+        assert lowest >= -FISTA_TOL and abs(slack) <= FISTA_TOL
 
 
 def boundary_record():
@@ -494,29 +497,33 @@ def test_mle_single_iteration_reports_its_certificate():
     assert dense_certificate(plan, record, result.rho_hat.mat) <= MLE_TOL
 
 
-def count_forward_maps(monkeypatch):
+def count_calls(monkeypatch, owner, name):
     calls = []
-    expectations = MeasurementPlan.expectations
+    original = getattr(owner, name)
 
-    def counting(self, mat):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return expectations(self, mat)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(MeasurementPlan, "expectations", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_forward_maps(monkeypatch):
+    return count_calls(monkeypatch, MeasurementPlan, "expectations")
 
 
 def test_fista_stage_makes_one_forward_map_per_iteration(monkeypatch):
     plan, y, step = fista_instance(24)
     X0 = np.zeros((8, 8), dtype=complex)
     calls = count_forward_maps(monkeypatch)
-    *_, iters = _fista_stage(plan, y, 0.05, X0, step, 3000, FISTA_TOL, np.inf)
-    assert iters > 10
+    *_, converged, iters = _fista_stage(plan, y, 0.05, X0, step, 3000, FISTA_TOL)
+    assert converged and iters > 10
     assert len(calls) <= 1.5 * iters + 1
     # the reference recomputes A(X) for every objective: two forward maps per iteration
     calls.clear()
-    *_, iters_ref = reference_fista_stage(plan, y, 0.05, X0, step, 3000, FISTA_TOL)
-    assert len(calls) >= 2 * iters_ref + 1
+    *_, iters_ref = reference_fista_stage(plan, y, 0.05, X0, step, iters, 0.0)
+    assert iters_ref == iters and len(calls) >= 2 * iters_ref + 1
 
 
 def test_mle_forward_map_budget(monkeypatch):
@@ -710,6 +717,53 @@ def test_lasso_converges_on_criterion_3_instances():
         result = matrix_lasso(plan, y, 1e-6, config)
         assert_lasso_certified(plan, y, 1e-6, config, result)
         assert trace_distance(result.rho_hat, truth) < 1e-4
+
+
+def test_lasso_kkt_gate_on_criterion_3_instances(monkeypatch):
+    """The Lasso reads the complementarity <X, G> of its KKT check in O(m) from the
+    carried A(X), and forms G only when that gate passes.  On criterion-3 instances
+    the O(m) value matches the dense np.vdot(X, G) to rounding.  A solve's adjoints
+    are one per prox step (iterations and restarts, one forward map each besides
+    each stage's first), one per passed gate and two outside the stages (A*(y) for
+    the data scale and the reported residual); every eigvalsh besides the two
+    operator norms is a passed gate."""
+    points = []
+    complementarity = solvers._complementarity
+
+    def recording(X, AX, y, mu):
+        points.append((X, mu, complementarity(X, AX, y, mu)))
+        return points[-1][-1]
+
+    stages = []
+    fista_stage = solvers._fista_stage
+
+    def counting_stage(*args):
+        out = fista_stage(*args)
+        stages.append(out[-1])
+        return out
+
+    monkeypatch.setattr(solvers, "_complementarity", recording)
+    monkeypatch.setattr(solvers, "_fista_stage", counting_stage)
+    forward = count_forward_maps(monkeypatch)
+    adjoints = count_calls(monkeypatch, MeasurementPlan, "pauli_sum")
+    spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    for seed in range(3):
+        truth, plan, y = criterion_3_instance(seed)
+        for calls in (points, stages, forward, adjoints, spectra):
+            calls.clear()
+        result = matrix_lasso(plan, y, 1e-6)
+        assert result.converged
+        for X, mu, value in points[::25] + points[-1:]:
+            G = dense_gradient(plan, y, X) + mu * np.eye(plan.d)
+            scale = max(1.0, np.linalg.norm(X) * np.linalg.norm(G))
+            assert abs(value - np.vdot(X, G).real) <= 1e-13 * scale
+        iterations = sum(stages)
+        prox_steps = len(forward) - len(stages)
+        passed = len(spectra) - 2
+        assert len(points) == iterations and prox_steps >= iterations
+        assert len(adjoints) == prox_steps + passed + 2
+        # the parent paid an A* and an eigvalsh on every warm-up iteration
+        assert passed <= iterations // 10, (passed, iterations)
 
 
 def test_lasso_continuation_iteration_count(monkeypatch):
