@@ -17,10 +17,8 @@ from .measurement import (
     EXACT,
     MeasurementPlan,
     MeasurementRecord,
-    TimeBudget,
     adjoint_sampling_operator,
     apply_sampling_operator,
-    budget_split,
     empirical_rip_constant,
     simulate_measurements,
 )

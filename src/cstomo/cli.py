@@ -1,10 +1,13 @@
-"""Command-line entry points: argument parsing, config loading and file I/O.
+"""Command-line entry points: argument parsing, config loading, and the file formats.
 
 Subcommands: simulate, reconstruct, certify, process, packing, benchmark.
 Every subcommand accepts --seed, --config <json>, and --output; outputs are
 deterministic for a fixed seed and config (the benchmark's wall-clock column
 is zeroed under --no-timing to keep its CSV byte-stable).  The estimator
 sweep behind `benchmark` lives in `cstomo.experiment`.
+
+Every JSON reader and writer lives here.  Complex matrices are row-major
+[re, im] pairs; a reader raises ValueError on a file that disagrees with itself.
 """
 
 from __future__ import annotations
@@ -17,18 +20,11 @@ import numpy as np
 
 from .certify import StateOracle, certify_fidelity
 from .experiment import BENCH_SOLVER, ExperimentConfig, estimate, rows_to_csv, run_benchmark
-from .lowerbound import generate_packing, packing_to_manifest
-from .measurement import (
-    EXACT,
-    MeasurementPlan,
-    MeasurementRecord,
-    plan_from_dict,
-    plan_to_dict,
-    simulate_measurements,
-)
+from .lowerbound import generate_packing
+from .measurement import EXACT, MeasurementPlan, MeasurementRecord, simulate_measurements
 from .pauli import all_paulis, sample_paulis
 from .process import (
-    channel_from_dict,
+    QuantumChannel,
     compose,
     jamiolkowski_fidelity,
     local_depolarizing_channel,
@@ -38,8 +34,7 @@ from .process import (
 )
 from .solvers import ESTIMATORS, default_weight
 from .states import (
-    density_matrix_from_dict,
-    density_matrix_to_dict,
+    DensityMatrix,
     depolarize_local,
     fidelity,
     haar_random_unitary,
@@ -50,6 +45,62 @@ from .states import (
 
 #: config keys that steer the CLI and are not part of an ExperimentConfig
 CLI_ONLY = ("output", "dry_run", "no_timing")
+
+# --- file formats ------------------------------------------------------------
+
+def _entries(mat) -> list:
+    return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+
+
+def _matrix(entries, d: int) -> np.ndarray:
+    flat = np.array([complex(re, im) for re, im in entries])
+    if flat.size != d * d:
+        raise ValueError("entry count does not match dimension header")
+    return flat.reshape(d, d)
+
+
+def density_matrix_to_dict(rho: DensityMatrix) -> dict:
+    return {"kind": "density_matrix", "n": rho.n, "d": rho.d, "entries": _entries(rho.mat)}
+
+
+def density_matrix_from_dict(data: dict) -> DensityMatrix:
+    return DensityMatrix(_matrix(data["entries"], int(data["d"])))
+
+
+def channel_from_dict(data: dict) -> QuantumChannel:
+    """A channel file: {"n": n, "kraus_operators": [entries of each Kraus operator]}."""
+    n = int(data["n"])
+    return QuantumChannel(tuple(_matrix(k, 1 << n) for k in data["kraus_operators"]), n)
+
+
+def plan_to_dict(plan: MeasurementPlan) -> dict:
+    return {"kind": "measurement_plan", "n": plan.n,
+            "paulis": [p.label for p in plan.paulis], "indices": plan.indices.tolist()}
+
+
+def plan_from_dict(data: dict) -> MeasurementPlan:
+    plan = MeasurementPlan.from_indices(int(data["n"]), data["indices"])
+    if [p.label for p in plan.paulis] != list(data["paulis"]):
+        raise ValueError("the plan's Pauli labels disagree with its indices")
+    return plan
+
+
+def _record_block(record) -> dict:
+    return {
+        "y": [float(v) for v in record.y],
+        "shots": [int(v) for v in record.shots],
+        "plus_counts": [int(v) for v in record.plus_counts],
+        "normalization": record.normalization,
+        "exact": record.exact,
+    }
+
+
+def _record_from_block(block):
+    return MeasurementRecord(np.array(block["y"]),
+                             np.array(block["shots"], dtype=np.int64),
+                             np.array(block["plus_counts"], dtype=np.int64),
+                             block["normalization"], exact=block["exact"])
+
 
 # --- subcommand plumbing -----------------------------------------------------
 
@@ -88,23 +139,6 @@ def _emit(text: str, output):
 
 def _dump(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=1)
-
-
-def _record_block(record) -> dict:
-    return {
-        "y": [float(v) for v in record.y],
-        "shots": [int(v) for v in record.shots],
-        "plus_counts": [int(v) for v in record.plus_counts],
-        "normalization": record.normalization,
-        "exact": record.exact,
-    }
-
-
-def _record_from_block(block):
-    return MeasurementRecord(np.array(block["y"]),
-                             np.array(block["shots"], dtype=np.int64),
-                             np.array(block["plus_counts"], dtype=np.int64),
-                             block["normalization"], exact=block["exact"])
 
 
 def _parse_t(value):
@@ -246,8 +280,10 @@ def cmd_packing(args):
                                float(epsilon), int(cfg.get("size", 10)),
                                int(cfg.get("max_attempts", 10000)), rng,
                                group=cfg.get("group", "special_orthogonal"))
-    manifest = packing_to_manifest(packing, seed)
-    manifest["states"] = [density_matrix_to_dict(s) for s in packing.states]
+    manifest = {"kind": "packing_set", "seed": seed, "size": packing.size, "d": packing.d,
+                "epsilon": packing.epsilon, "alpha": packing.alpha,
+                "rejections": packing.rejections, "complete": packing.complete,
+                "states": [density_matrix_to_dict(s) for s in packing.states]}
     _emit(_dump(manifest), cfg.get("output"))
     if not packing.complete:
         print(f"warning: only {packing.size} of the requested states found",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import EXACT, MeasurementPlan, TimeBudget, budget_split, simulate_measurements
+from .measurement import EXACT, MeasurementPlan, simulate_measurements
 from .pauli import sample_paulis
 from .solvers import ESTIMATORS, ReconstructionResult, SolverConfig, default_weight, run_estimator
 from .states import depolarize_local, fidelity, haar_random_pure, trace_distance
@@ -56,8 +56,9 @@ class ExperimentConfig:
                     f"under one shot per setting")
 
     def copies(self, m: int):
-        """Copies t for a grid point: EXACT, or the budget left after c per setting."""
-        return EXACT if self.exact else budget_split(TimeBudget(self.T, self.c, m))
+        """Copies t for a grid point: EXACT, or t = T - c m, what the duration T leaves
+        after a switching cost c per setting (`__post_init__` rejects t <= m)."""
+        return EXACT if self.exact else int(self.T - self.c * m)
 
 
 @dataclass(frozen=True)

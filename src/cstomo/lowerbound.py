@@ -150,18 +150,3 @@ def minimax_copies_bound(s: float, alpha: float, delta: float) -> float:
             f"(1 - delta) ln s = {(1.0 - delta) * np.log(s):.4g} <= 1: "
             "the packing is too small to certify any copy count")
     return float(numerator / (4.0 * alpha * alpha))
-
-
-def packing_to_manifest(packing: PackingSet, seed=None) -> dict:
-    data = {
-        "kind": "packing_set",
-        "size": packing.size,
-        "d": packing.d,
-        "epsilon": packing.epsilon,
-        "alpha": packing.alpha,
-        "rejections": packing.rejections,
-        "complete": packing.complete,
-    }
-    if seed is not None:
-        data["seed"] = seed
-    return data

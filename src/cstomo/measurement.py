@@ -1,4 +1,4 @@
-"""The Pauli sampling operator, its adjoint, shot-noise simulation, and the time budget.
+"""The Pauli sampling operator, its adjoint, and shot-noise simulation.
 
 The sampling operator maps a Hermitian X to the vector with entries
 sqrt(d/m) * Tr(P_i X) over the m Paulis of a plan; the normalization makes
@@ -132,25 +132,6 @@ class MeasurementRecord:
         return self.plus_counts / self.shots
 
 
-@dataclass(frozen=True)
-class TimeBudget:
-    """Fixed experiment duration T with per-setting switching cost c."""
-
-    T: float
-    c: float
-    m: int
-
-
-def budget_split(budget: TimeBudget) -> int:
-    """Copies left after paying the switching cost: t = T - c*m."""
-    t = budget.T - budget.c * budget.m
-    if t <= 0:
-        raise ValueError(
-            f"infeasible plan: T={budget.T} leaves t={t} after switching {budget.m} settings at cost {budget.c}"
-        )
-    return int(t)
-
-
 def apply_sampling_operator(plan: MeasurementPlan, X) -> np.ndarray:
     """A(X): entries sqrt(d/m) * Tr(P_i X)."""
     return plan.normalization * plan.expectations(X)
@@ -213,21 +194,3 @@ def empirical_rip_constant(plan: MeasurementPlan, r: int, trials: int, rng) -> R
         x = random_rank_r_hermitian(plan.d, r, rng)
         ratios[i] = np.linalg.norm(apply_sampling_operator(plan, x))
     return RipStats(float(ratios.min()), float(ratios.max()), float(ratios.mean()), ratios)
-
-
-# --- serialization -----------------------------------------------------------
-
-def plan_to_dict(plan: MeasurementPlan, seed=None) -> dict:
-    data = {
-        "kind": "measurement_plan",
-        "n": plan.n,
-        "paulis": [p.label for p in plan.paulis],
-        "indices": plan.indices.tolist(),
-    }
-    if seed is not None:
-        data["seed"] = seed
-    return data
-
-
-def plan_from_dict(data: dict) -> MeasurementPlan:
-    return MeasurementPlan.from_indices(int(data["n"]), data["indices"])

@@ -214,23 +214,20 @@ def pauli_expectation(p: PauliString, rho) -> float:
     return float(value.real)
 
 
-def sample_paulis(n, m, *, with_replacement=True, rng, include_identity=True):
+def sample_paulis(n, m, *, with_replacement=True, rng):
     """Sample m Pauli strings uniformly from the 4^n-element set.
 
     Without replacement the strings are distinct; either way the result is
-    deterministic given the generator state.  `include_identity=False` drops
-    the identity word from the population before sampling.
+    deterministic given the generator state.
     """
     if m < 1:
         raise ValueError("need at least one Pauli")
-    total = 4**n if include_identity else 4**n - 1
-    low = 0 if include_identity else 1
     if with_replacement:
-        indices = rng.integers(low, 4**n, size=m)
+        indices = rng.integers(0, 4**n, size=m)
     else:
-        if m > total:
-            raise ValueError(f"cannot draw {m} distinct Paulis from a set of {total}")
-        indices = rng.choice(np.arange(low, 4**n), size=m, replace=False)
+        if m > 4**n:
+            raise ValueError(f"cannot draw {m} distinct Paulis from a set of {4**n}")
+        indices = rng.choice(np.arange(4**n), size=m, replace=False)
     return [PauliString.from_index(n, int(i)) for i in indices]
 
 

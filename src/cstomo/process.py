@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import MeasurementPlan, MeasurementRecord, adjoint_sampling_operator, simulate_measurements
-from .pauli import PauliString, pauli_expectation, pauli_matrix
+from .pauli import SINGLE_QUBIT_MATRICES, PauliString, pauli_expectation, pauli_matrix
 from .solvers import SolverConfig, run_estimator
 from .states import DensityMatrix, eigh_descending, fidelity
 
@@ -87,9 +87,8 @@ def local_depolarizing_channel(n: int, gamma: float) -> QuantumChannel:
     """Tensor power of the single-qubit depolarizing map with strength gamma."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    single = [np.sqrt(1.0 - 0.75 * gamma) * np.eye(2, dtype=complex)]
-    for label in "XYZ":
-        single.append(0.5 * np.sqrt(gamma) * pauli_matrix(PauliString.from_label(label)))
+    identity, *xyz = SINGLE_QUBIT_MATRICES
+    single = [np.sqrt(1.0 - 0.75 * gamma) * identity] + [0.5 * np.sqrt(gamma) * p for p in xyz]
     ops = [np.array([[1.0]], dtype=complex)]
     for _ in range(n):
         ops = [np.kron(a, b) for a in ops for b in single]
@@ -134,14 +133,14 @@ def jamiolkowski_state(channel: QuantumChannel) -> DensityMatrix:
     return DensityMatrix(mat / d)
 
 
-def channel_from_jamiolkowski(rho_e: DensityMatrix, cutoff: float = KRAUS_CUTOFF) -> QuantumChannel:
-    """Kraus operators sqrt(d lambda_i) unvec(v_i) from the eigenpairs above cutoff."""
+def channel_from_jamiolkowski(rho_e: DensityMatrix) -> QuantumChannel:
+    """Kraus operators sqrt(d lambda_i) unvec(v_i) from the eigenpairs above KRAUS_CUTOFF."""
     d2 = rho_e.d
     d = 1 << (d2.bit_length() - 1 >> 1)
     if d * d != d2:
         raise ValueError(f"dimension {d2} is not a square")
     w, v = eigh_descending(rho_e.mat)
-    ops = [np.sqrt(d * w[i]) * v[:, i].reshape(d, d) for i in range(d2) if w[i] > cutoff]
+    ops = [np.sqrt(d * w[i]) * v[:, i].reshape(d, d) for i in range(d2) if w[i] > KRAUS_CUTOFF]
     if not ops:
         raise ValueError("state has no eigenvalue above the Kraus cutoff")
     return QuantumChannel(tuple(ops), d.bit_length() - 1)
@@ -214,24 +213,3 @@ def reconstruct_channel(record: MeasurementRecord, plan: MeasurementPlan,
 
 def jamiolkowski_fidelity(a: QuantumChannel, b: QuantumChannel) -> float:
     return fidelity(jamiolkowski_state(a), jamiolkowski_state(b))
-
-
-def channel_to_dict(channel: QuantumChannel) -> dict:
-    return {
-        "kind": "quantum_channel",
-        "n": channel.n,
-        "kraus_operators": [
-            [[float(z.real), float(z.imag)] for z in k.reshape(-1)]
-            for k in channel.kraus_operators
-        ],
-    }
-
-
-def channel_from_dict(data: dict) -> QuantumChannel:
-    n = int(data["n"])
-    d = 1 << n
-    ops = tuple(
-        np.array([complex(re, im) for re, im in flat]).reshape(d, d)
-        for flat in data["kraus_operators"]
-    )
-    return QuantumChannel(ops, n)

@@ -1,4 +1,4 @@
-"""Density matrices, random-state ensembles, local noise, and distance metrics."""
+"""Density matrices, random-state ensembles, local noise, distance metrics, eigen-helpers."""
 
 from __future__ import annotations
 
@@ -56,14 +56,14 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def is_psd(self, tol: float = PSD_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol
+    def is_psd(self) -> bool:
+        return self.min_eigenvalue() >= -PSD_TOL
 
     def purity(self) -> float:
         return float(np.sum(np.abs(self.mat) ** 2))
 
-    def numerical_rank(self, cutoff: float = 1e-10) -> int:
-        return int(np.sum(self.eigenvalues > cutoff))
+    def numerical_rank(self) -> int:
+        return int(np.sum(self.eigenvalues > 1e-10))
 
 
 def pure_state(vec: np.ndarray) -> DensityMatrix:
@@ -93,12 +93,12 @@ def haar_random_unitary(d: int, rng) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def haar_random_orthogonal(d: int, rng, special: bool = True) -> np.ndarray:
-    """Haar-distributed O(d) element; with `special`, conditioned onto SO(d)."""
+def haar_random_orthogonal(d: int, rng) -> np.ndarray:
+    """Haar-distributed SO(d) element: a Haar O(d) element with its determinant made +1."""
     g = rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r))
-    if special and np.linalg.det(q) < 0:
+    if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
 
@@ -225,24 +225,3 @@ def renormalized(rho: DensityMatrix) -> DensityMatrix:
     if tr <= 0:
         raise ValueError(f"cannot renormalize trace {tr:.3g}")
     return DensityMatrix(rho.mat / tr)
-
-
-# --- serialization -----------------------------------------------------------
-
-def density_matrix_to_dict(rho: DensityMatrix) -> dict:
-    """JSON form: dimension header plus row-major (re, im) pairs."""
-    flat = rho.mat.reshape(-1)
-    return {
-        "kind": "density_matrix",
-        "n": rho.n,
-        "d": rho.d,
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
-def density_matrix_from_dict(data: dict) -> DensityMatrix:
-    d = int(data["d"])
-    flat = np.array([complex(re, im) for re, im in data["entries"]])
-    if flat.size != d * d:
-        raise ValueError("entry count does not match dimension header")
-    return DensityMatrix(flat.reshape(d, d))

@@ -8,14 +8,27 @@ import numpy as np
 import pytest
 
 import cstomo
-from cstomo.cli import main
+from cstomo.cli import (
+    density_matrix_from_dict,
+    density_matrix_to_dict,
+    main,
+    plan_from_dict,
+    plan_to_dict,
+)
 from cstomo.experiment import BenchmarkRow, ExperimentConfig, rows_to_csv, run_benchmark
+from cstomo.measurement import MeasurementPlan
+from cstomo.pauli import sample_paulis
+from cstomo.states import haar_random_pure
 
 
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def error_of(err) -> dict:
+    return json.loads(err.strip().splitlines()[-1])
 
 
 def test_config_validation():
@@ -103,7 +116,7 @@ def test_benchmark_rejects_misspelled_config_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"n": 4, "m_gird": [8, 16], "trails": 2}))
     code, out, err = run(["benchmark", "--config", str(cfg), "--dry-run"], capsys)
     assert code == 1 and out == ""
-    payload = json.loads(err.strip().splitlines()[-1])
+    payload = error_of(err)
     assert payload["error"] == "TypeError"
     assert "m_gird" in payload["message"]
 
@@ -126,7 +139,7 @@ def test_packing_subcommand(tmp_path, capsys):
                       "--seed", "2", "--output", str(out_path)], capsys)
     assert code == 0
     manifest = json.loads(out_path.read_text())
-    assert manifest["size"] == 3 and manifest["complete"]
+    assert manifest["size"] == 3 and manifest["complete"] and manifest["seed"] == 2
     assert len(manifest["states"]) == 3
 
 
@@ -169,7 +182,7 @@ def test_process_zero_estimate_is_a_typed_error(tmp_path, capsys):
     code, _, err = run(["process", "--n", "2", "--t", "1000", "--seed", "3", "--estimator",
                         "dantzig", "--output", str(tmp_path / "zero.json")], capsys)
     assert code == 1 and not (tmp_path / "zero.json").exists()
-    payload = json.loads(err.strip().splitlines()[-1])
+    payload = error_of(err)
     assert payload["error"] == "ZeroEstimateError"
     assert "zero matrix" in payload["message"] and "||A*y||" in payload["message"]
     assert issubclass(cstomo.ZeroEstimateError, ValueError)
@@ -178,5 +191,79 @@ def test_process_zero_estimate_is_a_typed_error(tmp_path, capsys):
 def test_error_reporting(capsys):
     code, _, err = run(["reconstruct", "--input", "/nonexistent.json"], capsys)
     assert code == 1
-    payload = json.loads(err.strip().splitlines()[-1])
+    payload = error_of(err)
     assert payload["error"] == "FileNotFoundError"
+
+
+def test_plan_serialization_round_trip():
+    rng = np.random.default_rng(7)
+    plan = MeasurementPlan(tuple(sample_paulis(3, 9, rng=rng)))
+    back = plan_from_dict(plan_to_dict(plan))
+    assert [p.index for p in back.paulis] == [p.index for p in plan.paulis]
+
+
+def test_density_matrix_serialization_round_trip():
+    rho = haar_random_pure(2, np.random.default_rng(9))
+    back = density_matrix_from_dict(density_matrix_to_dict(rho))
+    assert np.allclose(back.mat, rho.mat, atol=0)
+
+
+def test_channel_file_written_by_hand(tmp_path, capsys):
+    """The identity channel in the --channel format: row-major [re, im] Kraus entries."""
+    channel = tmp_path / "identity.json"
+    channel.write_text(json.dumps({"n": 1, "kraus_operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}))
+    code, out, _ = run(["process", "--channel", str(channel), "--t", "exact",
+                        "--output", str(tmp_path / "proc.json")], capsys)
+    assert code == 0
+    assert out == "jamiolkowski fidelity 1.000000\n"
+
+
+def test_malformed_input_files_are_typed_errors(tmp_path, capsys):
+    sim = tmp_path / "sim.json"
+    code, _, _ = run(["simulate", "--n", "2", "--m", "6", "--t", "exact", "--seed", "0",
+                      "--output", str(sim)], capsys)
+    assert code == 0
+    data = json.loads(sim.read_text())
+    data["plan"]["paulis"][0] = "XY" if data["plan"]["paulis"][0] != "XY" else "YX"
+    sim.write_text(json.dumps(data))
+    code, out, err = run(["reconstruct", "--input", str(sim),
+                          "--output", str(tmp_path / "rec.json")], capsys)
+    assert code == 1 and out == ""
+    assert error_of(err) == {"error": "ValueError",
+                             "message": "the plan's Pauli labels disagree with its indices"}
+
+    channel = tmp_path / "short.json"
+    channel.write_text(json.dumps({"n": 1, "kraus_operators": [[[1, 0], [0, 0], [0, 0]]]}))
+    code, out, err = run(["process", "--channel", str(channel), "--t", "exact",
+                          "--output", str(tmp_path / "proc.json")], capsys)
+    assert code == 1 and out == ""
+    assert error_of(err) == {"error": "ValueError",
+                             "message": "entry count does not match dimension header"}
+
+
+def test_output_schema(tmp_path, capsys):
+    """Top-level keys and kind of every JSON file a subcommand writes."""
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("simulate", "reconstruct", "certify", "process", "packing")}
+    for argv in (["simulate", "--n", "2", "--t", "exact"],
+                 ["reconstruct", "--input", str(paths["simulate"])],
+                 ["certify", "--input", str(paths["reconstruct"])],
+                 ["process", "--n", "1", "--t", "exact"],
+                 ["packing", "--d", "8", "--epsilon", "0.4", "--size", "2"]):
+        code, _, _ = run(argv + ["--output", str(paths[argv[0]])], capsys)
+        assert code == 0
+    schema = {
+        "simulate": ("simulation", ["kind", "plan", "record", "seed", "t", "truth"]),
+        "reconstruct": ("reconstruction", ["estimate", "estimator", "fidelity", "kind",
+                                           "trace_distance", "truth"]),
+        "certify": ("fidelity_certificate", ["F_hat", "copies_used", "delta", "eps", "kind",
+                                             "per_element_error", "seed"]),
+        "process": ("process_reconstruction", ["converged", "estimate", "estimator",
+                                               "jamiolkowski_fidelity", "kind", "kraus_rank",
+                                               "seed", "tp_deviation"]),
+        "packing": ("packing_set", ["alpha", "complete", "d", "epsilon", "kind", "rejections",
+                                    "seed", "size", "states"]),
+    }
+    for name, (kind, keys) in schema.items():
+        data = json.loads(paths[name].read_text())
+        assert (data["kind"], sorted(data)) == (kind, keys), name

@@ -8,7 +8,6 @@ from cstomo.lowerbound import (
     generate_packing,
     minimax_copies_bound,
     packing_rate_c,
-    packing_to_manifest,
     verify_packing,
 )
 from cstomo.states import DensityMatrix, trace_distance
@@ -94,10 +93,3 @@ def test_minimax_bound_signals_vacuity():
         with pytest.raises(ValueError) as excinfo:
             minimax_copies_bound(bad_s, 0.5, 0.0)
         assert not isinstance(excinfo.value, VacuousBoundError)
-
-
-def test_manifest():
-    rng = np.random.default_rng(4)
-    packing = generate_packing(8, 1, 0.4, 2, 200, rng)
-    manifest = packing_to_manifest(packing, seed=4)
-    assert manifest["size"] == 2 and manifest["seed"] == 4

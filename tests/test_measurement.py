@@ -5,13 +5,9 @@ from cstomo.measurement import (
     EXACT,
     MeasurementPlan,
     MeasurementRecord,
-    TimeBudget,
     adjoint_sampling_operator,
     apply_sampling_operator,
-    budget_split,
     empirical_rip_constant,
-    plan_from_dict,
-    plan_to_dict,
     simulate_measurements,
 )
 from cstomo.pauli import (
@@ -191,12 +187,6 @@ def test_complete_set_is_an_isometry():
             assert np.allclose(back, x, atol=1e-10)
 
 
-def test_budget_split():
-    assert budget_split(TimeBudget(41000, 20, 1000)) == 21000
-    with pytest.raises(ValueError, match="infeasible"):
-        budget_split(TimeBudget(100, 20, 5))
-
-
 def test_exact_simulation():
     plan = full_plan(2)
     rho = haar_random_pure(2, np.random.default_rng(3))
@@ -238,10 +228,3 @@ def test_empirical_rip_near_one_for_complete_set():
     stats = empirical_rip_constant(full_plan(3), 2, 20, np.random.default_rng(6))
     assert stats.minimum == pytest.approx(1.0, abs=1e-9)
     assert stats.maximum == pytest.approx(1.0, abs=1e-9)
-
-
-def test_plan_serialization_round_trip():
-    rng = np.random.default_rng(7)
-    plan = MeasurementPlan(tuple(sample_paulis(3, 9, rng=rng)))
-    back = plan_from_dict(plan_to_dict(plan, seed=7))
-    assert [p.index for p in back.paulis] == [p.index for p in plan.paulis]

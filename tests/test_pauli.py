@@ -91,9 +91,6 @@ def test_sampling_determinism_and_replacement():
     assert len({p.index for p in distinct}) == 16
     with pytest.raises(ValueError):
         sample_paulis(2, 17, with_replacement=False, rng=np.random.default_rng(5))
-    no_id = sample_paulis(1, 3, with_replacement=False, include_identity=False,
-                          rng=np.random.default_rng(5))
-    assert 0 not in {p.index for p in no_id}
 
 
 def test_all_paulis_ordering():

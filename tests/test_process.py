@@ -6,10 +6,8 @@ from cstomo.pauli import PauliString, all_paulis, pauli_matrix, sample_paulis
 from cstomo.process import (
     QuantumChannel,
     ZeroEstimateError,
-    channel_from_dict,
     channel_from_jamiolkowski,
     channel_pauli_expectation,
-    channel_to_dict,
     compose,
     jamiolkowski_fidelity,
     jamiolkowski_state,
@@ -233,15 +231,6 @@ def test_reconstruct_requires_regularization():
         reconstruct_channel(rec, plan, "lasso")
     with pytest.raises(ValueError, match="unknown solver"):
         reconstruct_channel(rec, plan, "sdp", 1.0)
-
-
-def test_channel_serialization_round_trip():
-    rng = np.random.default_rng(5)
-    ch = random_channel(1, 2, rng)
-    back = channel_from_dict(channel_to_dict(ch))
-    assert back.n == ch.n
-    for a, b in zip(back.kraus_operators, ch.kraus_operators):
-        assert np.allclose(a, b, atol=0)
 
 
 def test_channel_from_jamiolkowski_round_trip():

@@ -3,8 +3,6 @@ import pytest
 
 from cstomo.states import (
     DensityMatrix,
-    density_matrix_from_dict,
-    density_matrix_to_dict,
     depolarize_local,
     fidelity,
     haar_random_orthogonal,
@@ -139,12 +137,6 @@ def test_renormalized():
     assert renormalized(rho).trace == pytest.approx(1.0)
     with pytest.raises(ValueError):
         renormalized(DensityMatrix(np.zeros((2, 2))))
-
-
-def test_serialization_round_trip():
-    rho = haar_random_pure(2, np.random.default_rng(9))
-    back = density_matrix_from_dict(density_matrix_to_dict(rho))
-    assert np.allclose(back.mat, rho.mat, atol=0)
 
 
 def test_fidelity_clamped_to_one_on_rounding():
