@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from cstomo.cli import density_matrix_from_dict, main
 from cstomo.lowerbound import (
     PackingSet,
     VacuousBoundError,
@@ -62,6 +65,17 @@ def test_verify_rejects_tampered_set():
     biased = PackingSet((DensityMatrix(np.diag([1, 0, 0, 0, 0, 0, 0, 0]).astype(complex)),),
                         packing.epsilon, 0.05, 0)
     assert not verify_packing(biased)  # basis state has a Pauli expectation of 1
+
+
+def test_manifest(tmp_path):
+    out_path = tmp_path / "packing.json"
+    assert main(["packing", "--d", "8", "--epsilon", "0.4", "--size", "2",
+                 "--seed", "4", "--output", str(out_path)]) == 0
+    manifest = json.loads(out_path.read_text())
+    assert manifest["size"] == 2 and manifest["seed"] == 4
+    states = tuple(density_matrix_from_dict(s) for s in manifest["states"])
+    assert verify_packing(PackingSet(states, manifest["epsilon"], manifest["alpha"],
+                                     manifest["rejections"]))
 
 
 def test_minimax_bound_values():
