@@ -22,7 +22,7 @@ from .certify import StateOracle, certify_fidelity
 from .experiment import BENCH_SOLVER, ExperimentConfig, estimate, rows_to_csv, run_benchmark
 from .lowerbound import generate_packing
 from .measurement import EXACT, MeasurementPlan, MeasurementRecord, simulate_measurements
-from .pauli import all_paulis, sample_paulis
+from .pauli import sample_indices
 from .process import (
     QuantumChannel,
     compose,
@@ -151,8 +151,9 @@ def _draw_plan(cfg, n: int, rng) -> MeasurementPlan:
     """All n-qubit Pauli words, or cfg["m"] of them drawn without replacement."""
     m = cfg.get("m")
     if m is None:
-        return MeasurementPlan(tuple(all_paulis(n)))
-    return MeasurementPlan(tuple(sample_paulis(n, int(m), with_replacement=False, rng=rng)))
+        return MeasurementPlan.from_indices(n, np.arange(4**n))
+    return MeasurementPlan.from_indices(
+        n, sample_indices(n, int(m), with_replacement=False, rng=rng))
 
 
 def cmd_simulate(args):

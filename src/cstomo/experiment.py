@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import EXACT, MeasurementPlan, simulate_measurements
-from .pauli import sample_paulis
+from .pauli import sample_indices
 from .solvers import ESTIMATORS, ReconstructionResult, SolverConfig, default_weight, run_estimator
 from .states import depolarize_local, fidelity, haar_random_pure, trace_distance
 
@@ -112,8 +112,8 @@ def _benchmark_trial(config: ExperimentConfig, trial_ss, timing):
     for i, m in enumerate(config.m_grid):
         plan_rng = np.random.default_rng(streams[1 + 2 * i])
         meas_rng = np.random.default_rng(streams[2 + 2 * i])
-        paulis = sample_paulis(config.n, m, with_replacement=False, rng=plan_rng)
-        plan = MeasurementPlan(tuple(paulis))
+        indices = sample_indices(config.n, m, with_replacement=False, rng=plan_rng)
+        plan = MeasurementPlan.from_indices(config.n, indices)
         t = config.copies(m)
         record = simulate_measurements(plan, truth, t, meas_rng)
         for name in config.estimators:

@@ -5,6 +5,9 @@ sqrt(d/m) * Tr(P_i X) over the m Paulis of a plan; the normalization makes
 the expected composition of adjoint and operator the identity when Paulis
 are drawn uniformly with replacement.  Operator and adjoint each take one
 all-Pauli transform (`pauli.pauli_grid`), O(d^3) flops whatever m is.
+A plan is held as its words' canonical indices, so drawing or reading one
+builds no per-word objects; its `PauliString` words are decoded only when
+`MeasurementPlan.paulis` is first read.
 """
 
 from __future__ import annotations
@@ -14,47 +17,73 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliString, grid_slots, pauli_grid, pauli_grid_adjoint
+from .pauli import (
+    PauliString,
+    grid_slots,
+    pauli_grid,
+    pauli_grid_adjoint,
+    paulis_from_indices,
+    word_indices,
+)
 from .states import DensityMatrix
 
 #: sentinel copy count for noiseless records
 EXACT = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MeasurementPlan:
-    """An ordered list of sampled Pauli settings on a fixed qubit count."""
+    """An ordered list of sampled Pauli settings on a fixed qubit count.
 
-    paulis: tuple[PauliString, ...]
+    The plan holds its words' canonical indices; `paulis` builds the
+    `PauliString` words when first read.  Two plans are equal when they
+    measure the same words in the same order.
+    """
 
-    def __post_init__(self):
-        paulis = tuple(self.paulis)
+    n: int
+    indices: np.ndarray
+
+    def __init__(self, paulis):
+        paulis = tuple(paulis)
         if not paulis:
             raise ValueError("a plan needs at least one Pauli")
         n = paulis[0].n
         if any(p.n != n for p in paulis):
             raise ValueError("all Paulis in a plan must act on the same qubit count")
+        self._hold(n, np.array([p.index for p in paulis], dtype=np.int64))
         object.__setattr__(self, "paulis", paulis)
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "MeasurementPlan":
         """The plan of the n-qubit words with these canonical indices, in order."""
-        return cls(tuple(PauliString.from_index(n, int(i)) for i in indices))
+        plan = cls.__new__(cls)
+        plan._hold(n, indices)
+        return plan
+
+    def _hold(self, n: int, indices):
+        """Every plan is made here: n and the checked, read-only int64 indices."""
+        indices = word_indices(n, indices)
+        if not indices.size:
+            raise ValueError("a plan needs at least one Pauli")
+        indices.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "indices", indices)
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasurementPlan):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.indices, other.indices)
+
+    def __hash__(self):
+        return hash((self.n, self.indices.tobytes()))
+
+    @cached_property
+    def paulis(self) -> tuple[PauliString, ...]:
+        return tuple(paulis_from_indices(self.n, self.indices))
 
     @property
     def m(self) -> int:
-        return len(self.paulis)
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        """Canonical indices of the plan's words, in plan order (read-only int64)."""
-        indices = np.array([p.index for p in self.paulis], dtype=np.int64)
-        indices.setflags(write=False)
-        return indices
-
-    @cached_property
-    def n(self) -> int:
-        return self.paulis[0].n
+        return self.indices.size
 
     @cached_property
     def d(self) -> int:

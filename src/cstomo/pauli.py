@@ -6,7 +6,8 @@ factors) and multiplies by a phase in {+1, -1, +i, -i}; one word's
 expectation goes through that form in O(d).  Many words go through one
 Walsh-Hadamard transform, O(d^3) flops however many (`pauli_grid`,
 `pauli_traces`), and back (`pauli_grid_adjoint`).  Dense matrices are
-rebuilt only on request.
+rebuilt only on request.  Draws and plans are index arrays (`sample_indices`);
+`paulis_from_indices` decodes a whole array into `PauliString` words at once.
 
 Canonical ordering is base 4, big-endian over qubits, with digit map I=0,
 X=1, Y=2, Z=3.  The identity word is index 0; "XZ" on two qubits is index
@@ -214,23 +215,68 @@ def pauli_expectation(p: PauliString, rho) -> float:
     return float(value.real)
 
 
-def sample_paulis(n, m, *, with_replacement=True, rng):
-    """Sample m Pauli strings uniformly from the 4^n-element set.
+def word_indices(n: int, indices) -> np.ndarray:
+    """Canonical n-qubit word indices as a fresh 1-D int64 array, checked once for all.
 
-    Without replacement the strings are distinct; either way the result is
+    Raises ValueError for n < 1, an array that is not 1-D, an entry that is not
+    an integer, or an index outside [0, 4^n); the message names the index.
+    """
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    arr = np.asarray(indices)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D array of word indices, got shape {arr.shape}")
+    is_array = isinstance(indices, np.ndarray)
+    if not is_array or arr.dtype.kind not in "iu":
+        # numpy reads [True, 2] as integers: a sequence's own entries are checked
+        for value in arr.tolist() if is_array else indices:
+            if type(value) is not int and not isinstance(value, np.integer):
+                raise ValueError(f"index {value!r} is not an integer")
+    if arr.size:
+        for index in (int(arr.min()), int(arr.max())):
+            if not 0 <= index < 4**n:
+                raise ValueError(f"index {index} out of range for {n} qubits")
+    return arr.astype(np.int64)
+
+
+def paulis_from_indices(n: int, indices) -> list[PauliString]:
+    """The n-qubit words with these canonical indices, in order.
+
+    One shift-and-mask decodes every word's codes; codes from a checked index
+    are valid, so each word is built without `PauliString`'s per-word checks.
+    """
+    indices = word_indices(n, indices)
+    shifts = np.arange(2 * n - 2, -1, -2)
+    new, set_field = object.__new__, object.__setattr__
+    words = []
+    for codes in ((indices[:, None] >> shifts) & 3).tolist():
+        word = new(PauliString)
+        set_field(word, "n", n)
+        set_field(word, "codes", tuple(codes))
+        words.append(word)
+    return words
+
+
+def sample_indices(n, m, *, with_replacement=True, rng) -> np.ndarray:
+    """Canonical indices of m words drawn uniformly from the 4^n-element set.
+
+    Without replacement the words are distinct; either way the result is
     deterministic given the generator state.
     """
     if m < 1:
         raise ValueError("need at least one Pauli")
     if with_replacement:
-        indices = rng.integers(0, 4**n, size=m)
-    else:
-        if m > 4**n:
-            raise ValueError(f"cannot draw {m} distinct Paulis from a set of {4**n}")
-        indices = rng.choice(np.arange(4**n), size=m, replace=False)
-    return [PauliString.from_index(n, int(i)) for i in indices]
+        return rng.integers(0, 4**n, size=m)
+    if m > 4**n:
+        raise ValueError(f"cannot draw {m} distinct Paulis from a set of {4**n}")
+    return rng.choice(np.arange(4**n), size=m, replace=False)
+
+
+def sample_paulis(n, m, *, with_replacement=True, rng) -> list[PauliString]:
+    """The words of `sample_indices`, decoded."""
+    return paulis_from_indices(n, sample_indices(n, m, with_replacement=with_replacement, rng=rng))
 
 
 def all_paulis(n: int) -> list[PauliString]:
     """All 4^n Pauli strings in canonical index order."""
-    return [PauliString.from_index(n, i) for i in range(4**n)]
+    return paulis_from_indices(n, np.arange(4**n))

@@ -275,11 +275,11 @@ def test_certify_tracks_true_fidelity():
 @pytest.mark.parametrize("exact", [True, False])
 def test_certify_transforms_state_once_and_builds_no_plan(monkeypatch, exact):
     plans = []
-    post_init = MeasurementPlan.__post_init__
+    hold = MeasurementPlan._hold
 
-    def counting_post_init(self):
+    def counting_hold(self, n, indices):
         plans.append(self)
-        post_init(self)
+        hold(self, n, indices)
 
     transformed = []
     traces = cstomo.certify.pauli_traces
@@ -288,7 +288,7 @@ def test_certify_transforms_state_once_and_builds_no_plan(monkeypatch, exact):
         transformed.append(mat)
         return traces(mat)
 
-    monkeypatch.setattr(MeasurementPlan, "__post_init__", counting_post_init)
+    monkeypatch.setattr(MeasurementPlan, "_hold", counting_hold)
     monkeypatch.setattr(cstomo.certify, "pauli_traces", counting_traces)
     rng = np.random.default_rng(11)
     rho = random_rank_r_projection(3, 2, rng, group="unitary")

@@ -232,6 +232,19 @@ def test_malformed_input_files_are_typed_errors(tmp_path, capsys):
     assert error_of(err) == {"error": "ValueError",
                              "message": "the plan's Pauli labels disagree with its indices"}
 
+    for index, message in ((1.5, "index 1.5 is not an integer"),
+                           (True, "index True is not an integer"),
+                           ("3", "index '3' is not an integer"),
+                           (16, "index 16 out of range for 2 qubits"),
+                           (-1, "index -1 out of range for 2 qubits")):
+        bad = json.loads(json.dumps(data))
+        bad["plan"]["indices"][0] = index
+        sim.write_text(json.dumps(bad))
+        code, out, err = run(["reconstruct", "--input", str(sim),
+                              "--output", str(tmp_path / "rec.json")], capsys)
+        assert code == 1 and out == ""
+        assert error_of(err) == {"error": "ValueError", "message": message}
+
     channel = tmp_path / "short.json"
     channel.write_text(json.dumps({"n": 1, "kraus_operators": [[[1, 0], [0, 0], [0, 0]]]}))
     code, out, err = run(["process", "--channel", str(channel), "--t", "exact",

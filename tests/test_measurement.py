@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+import cstomo.cli
+import cstomo.measurement
+import cstomo.pauli
+from cstomo.experiment import ExperimentConfig, run_benchmark
 from cstomo.measurement import (
     EXACT,
     MeasurementPlan,
@@ -35,6 +39,68 @@ def test_plan_validation():
     mixed = tuple(all_paulis(1)) + tuple(all_paulis(2))
     with pytest.raises(ValueError):
         MeasurementPlan(mixed)
+
+
+@pytest.fixture
+def words_built(monkeypatch):
+    """Every PauliString built from here on, one by one or by the bulk decoder."""
+    built = []
+    post_init = PauliString.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    decode = cstomo.pauli.paulis_from_indices
+
+    def counting_decode(n, indices):
+        words = decode(n, indices)
+        built.extend(words)
+        return words
+
+    monkeypatch.setattr(PauliString, "__post_init__", counting_post_init)
+    for module in (cstomo.pauli, cstomo.measurement):
+        monkeypatch.setattr(module, "paulis_from_indices", counting_decode)
+    return built
+
+
+def test_plans_build_no_words_until_read(words_built, monkeypatch, tmp_path):
+    indices = np.random.default_rng(0).integers(0, 4**10, size=40960)
+    plan = MeasurementPlan.from_indices(10, indices)
+    assert plan.m == 40960 and words_built == []
+    assert [p.index for p in plan.paulis] == indices.tolist()
+    assert len(words_built) == 40960
+
+    words_built.clear()
+    drawn = []
+    draw = cstomo.cli._draw_plan
+
+    def recording_draw(cfg, n, rng):
+        plan = draw(cfg, n, rng)
+        drawn.append((plan.m, len(words_built)))
+        return plan
+
+    monkeypatch.setattr(cstomo.cli, "_draw_plan", recording_draw)
+    assert cstomo.cli.main(["simulate", "--n", "3", "--m", "40", "--t", "exact",
+                            "--output", str(tmp_path / "sim.json")]) == 0
+    assert drawn == [(40, 0)]
+    assert len(words_built) == 40  # the plan file's labels
+
+    words_built.clear()
+    run_benchmark(ExperimentConfig(n=3, m_grid=(16,), estimators=("lasso",), trials=1))
+    assert words_built == []
+
+
+def test_plans_are_read_only_values():
+    plan = MeasurementPlan.from_indices(2, [7, 1])
+    assert plan == MeasurementPlan((PauliString.from_label("XZ"), PauliString.from_label("IX")))
+    assert hash(plan) == hash(MeasurementPlan.from_indices(2, np.array([7, 1], dtype=np.uint8)))
+    assert plan != MeasurementPlan.from_indices(2, [1, 7])
+    assert plan != MeasurementPlan.from_indices(3, [7, 1])
+    with pytest.raises(AttributeError):
+        plan.indices = np.array([0, 0])
+    with pytest.raises(ValueError):
+        plan.indices[0] = 0
 
 
 def test_expectations_match_dense_traces():

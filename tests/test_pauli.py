@@ -10,6 +10,8 @@ from cstomo.pauli import (
     pauli_expectation,
     pauli_matrix,
     pauli_traces,
+    paulis_from_indices,
+    sample_indices,
     sample_paulis,
 )
 from cstomo.measurement import MeasurementPlan
@@ -98,6 +100,53 @@ def test_all_paulis_ordering():
     assert len(ps) == 16
     assert [p.index for p in ps] == list(range(16))
     assert ps[0].is_identity
+
+
+def assert_same_word(word, n, index):
+    one = PauliString.from_index(n, index)
+    assert type(word) is PauliString
+    assert (word.n, word.codes, word.index, word.label) == (one.n, one.codes, one.index, one.label)
+    assert all(type(c) is int for c in word.codes)
+    assert word == one and hash(word) == hash(one)
+
+
+def test_bulk_decoding_matches_the_per_word_constructor():
+    for n in (1, 2, 3, 4):
+        words = paulis_from_indices(n, np.arange(4**n))
+        assert len(words) == 4**n
+        for index, word in enumerate(words):
+            assert_same_word(word, n, index)
+    indices = sample_indices(8, 8192, rng=np.random.default_rng(8))
+    for index, word in zip(indices.tolist(), paulis_from_indices(8, indices)):
+        assert_same_word(word, 8, index)
+
+
+def test_draws_are_pinned():
+    """The generator calls behind a draw: every seeded output depends on them."""
+    drawn = [42, 51, 1, 51, 30, 32, 40, 18, 62, 3, 17, 24, 36, 26, 8,
+             2, 0, 3, 9, 63, 12, 41, 48, 15, 18, 27, 16, 62, 11, 57]
+    assert sample_indices(3, 30, rng=np.random.default_rng(5)).tolist() == drawn
+    assert [p.index for p in sample_paulis(3, 30, rng=np.random.default_rng(5))] == drawn
+    distinct = [5, 4, 13, 3, 8, 10, 7, 12, 9, 6, 2, 11, 1, 14, 15, 0]
+    rng = np.random.default_rng(5)
+    assert sample_indices(2, 16, with_replacement=False, rng=rng).tolist() == distinct
+    rng = np.random.default_rng(5)
+    words = sample_paulis(2, 16, with_replacement=False, rng=rng)
+    assert [p.index for p in words] == distinct
+
+
+@pytest.mark.parametrize("n, indices, message", [
+    (0, [0], "need at least one qubit"),
+    (2, [3, 16], "index 16 out of range for 2 qubits"),
+    (2, [-1, 3], "index -1 out of range for 2 qubits"),
+    (2, [[0, 1]], "1-D"),
+    (2, [1.5], "index 1.5 is not an integer"),
+])
+def test_bulk_decoding_rejects_bad_input(n, indices, message):
+    with pytest.raises(ValueError, match=message):
+        paulis_from_indices(n, indices)
+    with pytest.raises(ValueError, match=message):
+        MeasurementPlan.from_indices(n, indices)
 
 
 def test_action_matrix_rebuild():
