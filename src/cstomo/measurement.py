@@ -97,6 +97,20 @@ class MeasurementPlan:
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
         return grid_slots(self.n, self.indices)
 
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """B = A*A on the float64 view of the grid: pauli_grid(B(M)) = gain * pauli_grid(M).
+
+        The P_i / sqrt(d) are orthonormal, so B is diagonal on the grid: (d^2/m)
+        times the word's count in the plan on each word's float slot (repeated
+        words add), zero elsewhere.  A read-only d x 2d array.
+        """
+        slots, _ = self._slots
+        gain = np.bincount(slots, minlength=2 * self.d * self.d) * self.d**2 / self.m
+        gain = gain.reshape(self.d, 2 * self.d)
+        gain.setflags(write=False)
+        return gain
+
     def expectations(self, mat) -> np.ndarray:
         """Vector of Re Tr(P_i X), which is Tr(P_i X) for a Hermitian X: one `pauli_grid`."""
         mat = np.ascontiguousarray(getattr(mat, "mat", mat), dtype=complex)

@@ -136,30 +136,35 @@ def pauli_grid(mat) -> np.ndarray:
 
     Tr(P_{x,z} M) = (-i)^{popcount(x & z)} T[z, x]: gathering G[k, x] =
     M[k ^ x, k] turns the sums over k into one real product with the
-    Sylvester-Hadamard matrix, O(d^3) flops in BLAS and O(d^2) memory.
+    Sylvester-Hadamard matrix, O(d^3) flops in BLAS and O(d^2) memory.  A
+    stack (..., d, d) gives the stack of grids from one gather and one product.
     """
     mat = np.ascontiguousarray(mat, dtype=complex)
-    d = mat.shape[0] if mat.ndim == 2 else 0
-    if mat.shape != (d, d) or d < 2 or d & (d - 1):
+    d = mat.shape[-1] if mat.ndim >= 2 else 0
+    if mat.shape[-2:] != (d, d) or d < 2 or d & (d - 1):
         raise ValueError(f"expected a square matrix with power-of-two size, got shape {mat.shape}")
     gather, hadamard, _, _ = _transform_layout(d.bit_length() - 1)
-    g = mat.reshape(-1).take(gather).reshape(d, d)
+    g = mat.reshape(mat.shape[:-2] + (-1,)).take(gather, axis=-1).reshape(mat.shape)
     # rows of the float64 view interleave (Re, Im) per x: one real product does both
     return (hadamard @ g.view(np.float64)).view(complex)
 
 
 def pauli_grid_adjoint(grid: np.ndarray) -> np.ndarray:
     """The adjoint of `pauli_grid`, sum_{z,x} C[z, x] (-i)^{popcount(x & z)} P_{x,z}: one real
-    product with the Sylvester-Hadamard matrix, put back through the gather slots."""
-    d = grid.shape[0]
+    product with the Sylvester-Hadamard matrix, put back through the gather slots.  Takes a
+    stack (..., d, d) of grids as `pauli_grid` does; pauli_grid(pauli_grid_adjoint(C)) = d C."""
+    d = grid.shape[-1]
     gather, hadamard, _, _ = _transform_layout(d.bit_length() - 1)
-    out = np.empty(d * d, dtype=complex)
-    out[gather] = (hadamard @ grid.view(np.float64)).view(complex).reshape(-1)
-    return out.reshape(d, d)
+    out = np.empty(grid.shape[:-2] + (d * d,), dtype=complex)
+    out[..., gather] = (hadamard @ grid.view(np.float64)).view(complex).reshape(out.shape)
+    return out.reshape(grid.shape)
 
 
 def pauli_traces(mat) -> np.ndarray:
     """Tr(P_i M) for all 4^n words i in canonical order: one `pauli_grid`, with phases."""
+    mat = np.asarray(mat)
+    if mat.ndim != 2:
+        raise ValueError(f"expected a square matrix with power-of-two size, got shape {mat.shape}")
     grid = pauli_grid(mat)
     _, _, slots, phases = _transform_layout(grid.shape[0].bit_length() - 1)
     out = grid.reshape(-1).take(slots)

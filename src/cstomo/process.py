@@ -88,10 +88,13 @@ def local_depolarizing_channel(n: int, gamma: float) -> QuantumChannel:
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     identity, *xyz = SINGLE_QUBIT_MATRICES
-    single = [np.sqrt(1.0 - 0.75 * gamma) * identity] + [0.5 * np.sqrt(gamma) * p for p in xyz]
-    ops = [np.array([[1.0]], dtype=complex)]
-    for _ in range(n):
-        ops = [np.kron(a, b) for a in ops for b in single]
+    single = np.stack([np.sqrt(1.0 - 0.75 * gamma) * identity] + [0.5 * np.sqrt(gamma) * p for p in xyz])
+    # one broadcast product per further qubit: op (a, b) is the Kronecker product of a and b
+    ops = single
+    for _ in range(n - 1):
+        size = 2 * ops.shape[-1]
+        ops = (ops[:, None, :, None, :, None] * single[None, :, None, :, None, :]).reshape(
+            4 * len(ops), size, size)
     return QuantumChannel(tuple(ops), n)
 
 

@@ -8,6 +8,8 @@ from cstomo.pauli import (
     all_paulis,
     pauli_action,
     pauli_expectation,
+    pauli_grid,
+    pauli_grid_adjoint,
     pauli_matrix,
     pauli_traces,
     paulis_from_indices,
@@ -185,6 +187,22 @@ def test_traces_match_complete_plan(n):
     assert np.max(np.abs(traces.imag)) <= 1e-12
     expected = MeasurementPlan(tuple(all_paulis(n))).expectations(mat)
     assert np.max(np.abs(traces.real - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grid_stacks_match_single_matrices(n):
+    """A stack goes through the same gather and product as each of its matrices, bit for
+    bit, and the adjoint inverts the grid up to the factor d."""
+    d = 1 << n
+    mats = random_complex((2, 3, d, d), np.random.default_rng(30 + n))
+    grids = pauli_grid(mats)
+    back = pauli_grid_adjoint(grids)
+    assert grids.shape == back.shape == mats.shape
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(grids[index], pauli_grid(mats[index]))
+        assert np.array_equal(back[index], pauli_grid_adjoint(grids[index]))
+    assert np.max(np.abs(back - d * mats)) <= 1e-12 * d
+    assert np.max(np.abs(pauli_grid(back) - d * grids)) <= 1e-11 * d
 
 
 @pytest.mark.parametrize("shape", [(3,), (4,), (3, 3), (2, 4), (1, 1), (2, 2, 2)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cstomo.measurement import EXACT, MeasurementPlan, simulate_measurements
-from cstomo.pauli import PauliString, all_paulis, pauli_matrix, sample_paulis
+from cstomo.pauli import SINGLE_QUBIT_MATRICES, PauliString, all_paulis, pauli_matrix, sample_paulis
 from cstomo.process import (
     QuantumChannel,
     ZeroEstimateError,
@@ -118,6 +118,25 @@ def test_identity_channel_pauli_orthogonality():
     assert channel_pauli_expectation(ch, x, z) == pytest.approx(0.0)
     # conjugation flips the sign of the Y-Y pair
     assert channel_pauli_expectation(ch, y, y) == pytest.approx(-1.0)
+
+
+def kron_depolarizing_kraus(n, gamma):
+    """The Kraus operators as a loop of Kronecker products, qubit 0 most significant."""
+    identity, *xyz = SINGLE_QUBIT_MATRICES
+    single = [np.sqrt(1.0 - 0.75 * gamma) * identity] + [0.5 * np.sqrt(gamma) * p for p in xyz]
+    ops = [np.array([[1.0]], dtype=complex)]
+    for _ in range(n):
+        ops = [np.kron(a, b) for a in ops for b in single]
+    return ops
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_depolarizing_kraus_match_the_kron_loop(n):
+    for gamma in (0.0, 0.01, 0.5, 1.0):
+        ops = local_depolarizing_channel(n, gamma).kraus_operators
+        expected = kron_depolarizing_kraus(n, gamma)
+        assert len(ops) == len(expected) == 4**n
+        assert all(np.array_equal(a, b) for a, b in zip(ops, expected))
 
 
 def test_depolarizing_kills_nonidentity_rows():

@@ -286,13 +286,13 @@ def reference_fista_stage(plan, y, mu, X, step, max_iter, tol):
     iterations = 0
     for iterations in range(1, max_iter + 1):
         grad = adjoint_sampling_operator(plan, apply_sampling_operator(plan, V) - y)
-        X_new = _prox_trace(V - step * grad, mu * step, True)
+        X_new = _prox_trace(V - step * grad, mu * step)
         obj = objective(X_new)
         if obj > history[-1]:
             theta = 1.0
             V = X
             grad = adjoint_sampling_operator(plan, apply_sampling_operator(plan, V) - y)
-            X_new = _prox_trace(V - step * grad, mu * step, True)
+            X_new = _prox_trace(V - step * grad, mu * step)
             obj = objective(X_new)
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
         V = X_new + ((theta - 1.0) / theta_new) * (X_new - X)
@@ -356,7 +356,7 @@ def reference_dantzig(plan, y, lam, config):
     scale = max(1.0, np.linalg.norm(c))
     for iterations in range(1, config.max_iterations + 1):
         X_prev = X
-        X = _prox_trace(X - eta * rho * B(BX - c - Z + U), eta, True)
+        X = _prox_trace(X - eta * rho * B(BX - c - Z + U), eta)
         BX = B(X)
         Z_prev = Z
         Z = project_ball(BX - c + U)
@@ -623,58 +623,105 @@ def test_dantzig_single_iteration_is_unconverged():
         assert result.iterations_used == 1 and not result.converged
 
 
+def record_shapes(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records the shape of its first argument."""
+    shapes = []
+    original = getattr(owner, name)
+
+    def recording(arg, *args, **kwargs):
+        shapes.append(np.shape(arg))
+        return original(arg, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return shapes
+
+
 def test_dantzig_operator_budget(monkeypatch):
-    """Two forward maps, two adjoints and two eigendecompositions per map; one forward
-    map and one adjoint per certificate, one adjoint for A*(y)."""
-    forward = count_forward_maps(monkeypatch)
-    adjoints = []
-    pauli_sum = MeasurementPlan.pauli_sum
-
-    def counting_sum(self, coeffs):
-        adjoints.append(1)
-        return pauli_sum(self, coeffs)
-
-    monkeypatch.setattr(MeasurementPlan, "pauli_sum", counting_sum)
-    decompositions = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(mat):
-        decompositions.append(1)
-        return eigh(mat)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    """Per map: one eigh of a (2, d, d) stack, one forward transform and one adjoint
+    transform, each of a stack of two.  Per certificate: one forward transform and one
+    adjoint of a stack of two, and one eigvalsh of a (3, d, d) stack.  Besides these,
+    one A* for A*(y) and one eigvalsh for its norm; no A or A* inside the loop."""
+    forward_maps = count_forward_maps(monkeypatch)
+    adjoints = count_calls(monkeypatch, MeasurementPlan, "pauli_sum")
+    forward = record_shapes(monkeypatch, solvers, "pauli_grid")
+    adjoint = record_shapes(monkeypatch, solvers, "pauli_grid_adjoint")
+    decompositions = record_shapes(monkeypatch, np.linalg, "eigh")
+    spectra = record_shapes(monkeypatch, np.linalg, "eigvalsh")
     for plan, y, lam in dantzig_cases():
-        for calls in (forward, adjoints, decompositions):
+        for calls in (forward_maps, adjoints, forward, adjoint, decompositions, spectra):
             calls.clear()
         result = dantzig_selector(plan, y, lam)
         iters = result.iterations_used
-        certificates = iters // CHECK_EVERY + 1
-        assert iters > CHECK_EVERY
-        assert len(decompositions) == 2 * iters
-        assert len(forward) <= 2 * iters + certificates
-        assert len(adjoints) <= 2 * iters + certificates + 1
+        d = plan.d
+        certificates = spectra.count((3, d, d))
+        assert iters > CHECK_EVERY and 1 <= certificates <= iters // CHECK_EVERY + 1
+        assert decompositions == [(2, d, d)] * iters
+        assert forward == [(2, d, d)] * (iters + certificates)
+        assert adjoint == [(2, d, d)] * (iters + certificates)
+        assert spectra == [(d, d)] + [(3, d, d)] * certificates
+        assert len(forward_maps) == 0 and len(adjoints) == 1
         # the reference applies B = A*A three times per iteration
-        forward.clear()
+        forward_maps.clear()
         reference_dantzig(plan, y, lam, SolverConfig(max_iterations=iters))
-        assert len(forward) == 3 * iters
+        assert len(forward_maps) == 3 * iters
+
+
+def with_replacement_plans():
+    """Plans drawn with replacement, with a repeated word and the identity word added."""
+    rng = np.random.default_rng(19)
+    plans = []
+    for n, m in ((2, 9), (3, 30)):
+        indices = rng.integers(0, 4**n, size=m)
+        plans.append(MeasurementPlan.from_indices(n, np.concatenate((indices, indices[:3], [0, 0]))))
+    return plans
+
+
+def random_hermitian(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g + g.conj().T
+
+
+def test_dantzig_y_step_is_exact_on_the_grid():
+    """B through the grid gain is A*A from Kronecker-product Paulis, and the Y step
+    solves (I + B^2) Y = a + B(b), on plans with repeated words and the identity word."""
+    rng = np.random.default_rng(20)
+    for plan in with_replacement_plans():
+        assert len(np.unique(plan.indices)) < plan.m and 0 in plan.indices
+        paulis = dense_paulis(plan)
+
+        def dense_B(mat):
+            return (plan.d / plan.m) * sum(np.trace(p @ mat).real * p for p in paulis)
+
+        a, b = (random_hermitian(plan.d, rng) for _ in range(2))
+        for mat, B_mat in zip((a, b), solvers._gram(plan, np.stack((a, b)))):
+            assert np.max(np.abs(B_mat - dense_B(mat))) <= 1e-13
+        Y, BY = solvers._y_solver(plan)(np.stack((a, b)))
+        assert np.max(np.abs(BY - dense_B(Y))) <= 1e-12
+        assert np.max(np.abs(Y + dense_B(dense_B(Y)) - a - dense_B(b))) <= 1e-12
 
 
 def test_dantzig_converges_on_sweep_cells(monkeypatch):
     """Every Dantzig solve of two criterion-5-style trials at T = 1e5 stops on its
-    certificate under the sweep's solver settings, m = 32 included."""
-    results = []
+    certificate under the sweep's solver settings, m = 32 included, within half the
+    cap, and its estimate is feasible by dense Kronecker-product Paulis."""
+    solves = []
 
-    def recording(*args, **kwargs):
-        results.append(dantzig_selector(*args, **kwargs))
-        return results[-1]
+    def recording(plan, y, lam, config):
+        solves.append((plan, y, lam, dantzig_selector(plan, y, lam, config)))
+        return solves[-1][-1]
 
     monkeypatch.setattr(solvers, "dantzig_selector", recording)
     config = ExperimentConfig(n=4, T=1e5, c=20.0, m_grid=(32, 64, 96, 128, 192, 256),
                               estimators=("dantzig",), trials=2, gamma=0.01, seed=5)
     run_benchmark(config, timing=False)
-    assert len(results) == 12
-    assert all(r.converged for r in results), [r.iterations_used for r in results]
-    assert max(r.iterations_used for r in results) < BENCH_SOLVER.max_iterations
+    assert len(solves) == 12
+    maps = [r.iterations_used for *_, r in solves]
+    assert all(r.converged for *_, r in solves), maps
+    # the hardest of these cells (m = 32) took 790 maps with the linearized map, 290 now
+    assert max(maps) <= BENCH_SOLVER.max_iterations // 2, maps
+    for plan, y, lam, result in solves:
+        residual = dense_dantzig_residual(plan, y, result.rho_hat.mat)
+        assert residual <= lam * (1 + BENCH_SOLVER.tolerance)
 
 
 def criterion_3_instance(seed):
