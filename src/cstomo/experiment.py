@@ -1,22 +1,26 @@
 """The seeded estimator sweep behind `cstomo benchmark` (criterion 5).
 
 Each trial draws one noisy truth and, per m, one plan and record that every
-estimator runs on; cells are averaged over trials into (m, estimator) rows.
+estimator runs on.  The (trial, m, estimator) cells are solved on one worker
+process per usable CPU and averaged over trials into (m, estimator) rows.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
+import os
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .measurement import EXACT, MeasurementPlan, simulate_measurements
+from .measurement import EXACT, MeasurementPlan, MeasurementRecord, simulate_measurements
 from .pauli import sample_indices
 from .solvers import ESTIMATORS, ReconstructionResult, SolverConfig, default_weight, run_estimator
-from .states import depolarize_local, fidelity, haar_random_pure, trace_distance
+from .states import DensityMatrix, depolarize_local, fidelity, haar_random_pure, trace_distance
 
 CSV_HEADER = "m,estimator,mean_fidelity,std_fidelity,mean_trace_distance,std_trace_distance,mean_solver_seconds"
 
@@ -42,11 +46,16 @@ class ExperimentConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if not self.m_grid:
-            raise ValueError("m_grid is empty")
+        # rows are keyed by (m, estimator): a repeat would merge two cells into one row
+        if not self.m_grid or len(set(self.m_grid)) < len(self.m_grid):
+            raise ValueError(f"m_grid must be non-empty with no repeats, got {self.m_grid}")
+        if not self.estimators or len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(f"estimators must be non-empty with no repeats, got {self.estimators}")
         bad = set(self.estimators) - set(ESTIMATORS)
         if bad:
             raise ValueError(f"unknown estimators: {sorted(bad)}")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         for m in self.m_grid:
             if m > 4**self.n:
                 raise ValueError(f"m={m} exceeds the {4**self.n} available settings")
@@ -101,8 +110,21 @@ def estimate(name: str, plan: MeasurementPlan, record, t) -> ReconstructionResul
     return run_estimator(name, plan, record, default_weight(name, plan, t), BENCH_SOLVER)
 
 
-def _benchmark_trial(config: ExperimentConfig, trial_ss, timing):
-    """One trial: one noisy truth, every (m, estimator) cell; returns cell records."""
+class Cell(NamedTuple):
+    """One (trial, m, estimator) cell as the draw leaves it: the plan's word
+    indices, the copy count, the record and the truth it is scored against."""
+
+    estimator: str
+    n: int
+    indices: np.ndarray
+    t: object
+    record: MeasurementRecord
+    truth: DensityMatrix
+
+
+def _draw_trial(config: ExperimentConfig, trial_ss) -> list[Cell]:
+    """One trial's draw: one noisy truth and, per m, one plan and record that every
+    estimator runs on; returns the trial's cells in (m, estimator) order."""
     streams = trial_ss.spawn(1 + 2 * len(config.m_grid))
     state_rng = np.random.default_rng(streams[0])
     truth = haar_random_pure(config.n, state_rng)
@@ -116,23 +138,83 @@ def _benchmark_trial(config: ExperimentConfig, trial_ss, timing):
         plan = MeasurementPlan.from_indices(config.n, indices)
         t = config.copies(m)
         record = simulate_measurements(plan, truth, t, meas_rng)
-        for name in config.estimators:
-            start = time.perf_counter()
-            rho_hat = estimate(name, plan, record, t).rho_hat
-            secs = time.perf_counter() - start if timing else 0.0
-            cells.append((m, name, fidelity(rho_hat, truth),
-                          trace_distance(rho_hat, truth), secs))
+        cells.extend(Cell(name, config.n, plan.indices, t, record, truth)
+                     for name in config.estimators)
     return cells
 
 
+def _solve_cell(cell: Cell, timing: bool):
+    """One cell's solve, in whichever process runs it; returns
+    (m, estimator, fidelity, trace distance, solver seconds)."""
+    plan = MeasurementPlan.from_indices(cell.n, cell.indices)
+    start = time.perf_counter()
+    rho_hat = estimate(cell.estimator, plan, cell.record, cell.t).rho_hat
+    secs = time.perf_counter() - start if timing else 0.0
+    return (plan.m, cell.estimator, fidelity(rho_hat, cell.truth),
+            trace_distance(rho_hat, cell.truth), secs)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _end_with_parent():
+    """Pool worker initializer: end the worker once the process that made the pool
+    has ended, however it ended.  A worker left behind would hold the pipes it
+    inherited open, so a reader of the ended process's output would wait forever."""
+    import multiprocessing
+    import threading
+    parent = multiprocessing.parent_process()
+
+    def watch():
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+#: each process's pool by PID, made at its first pooled sweep and kept for its
+#: life; a forked child, whose PID is not here, makes its own
+_POOLS = {}
+
+
+def _pool(workers: int):
+    """This process's pool of `workers` forked workers.
+
+    Fork starts workers without re-running `__main__`, so a sweep runs from a
+    script on stdin too.  The imports stay here: they would add about 20 ms to
+    every `import cstomo`.
+    """
+    pid = os.getpid()
+    if pid not in _POOLS:
+        import atexit
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        _POOLS[pid] = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                          initializer=_end_with_parent)
+        # drop it before interpreter teardown, while its module can still see it collected
+        atexit.register(_POOLS.pop, pid)
+    return _POOLS[pid]
+
+
 def run_benchmark(config: ExperimentConfig, timing: bool = True):
-    """Seeded sweep over (trial, m, estimator); returns (rows, seed manifest)."""
+    """Seeded sweep over (trial, m, estimator); returns (rows, seed manifest).
+
+    Trials are drawn here, in order; their cells are solved on one worker
+    process per usable CPU, or here when there is one.  Results come back in
+    cell order, so rows do not depend on the worker count.
+    """
     master = np.random.SeedSequence(config.seed)
     trial_seeds = master.spawn(config.trials)
+    cells = (cell for ss in trial_seeds for cell in _draw_trial(config, ss))
+    workers = _usable_cpus()
+    cell_map = map if workers == 1 else _pool(workers).map
     buckets = {}
-    for ss in trial_seeds:
-        for m, name, fid, td, secs in _benchmark_trial(config, ss, timing):
-            buckets.setdefault((m, name), []).append((fid, td, secs))
+    for m, name, fid, td, secs in cell_map(_solve_cell, cells, itertools.repeat(timing)):
+        buckets.setdefault((m, name), []).append((fid, td, secs))
     rows = []
     for (m, name) in sorted(buckets):
         data = np.array(buckets[(m, name)])

@@ -1,13 +1,17 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cstomo
+from cstomo import experiment
 from cstomo.cli import (
     density_matrix_from_dict,
     density_matrix_to_dict,
@@ -42,6 +46,18 @@ def test_config_validation():
         ExperimentConfig(n=2, m_grid=(17,))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m_grid", (8, 8)), ("m_grid", ()), ("estimators", ("lasso", "lasso")),
+    ("estimators", ()), ("gamma", -0.5), ("gamma", 2.0)])
+def test_config_rejects_inputs_outside_its_contract(field, value):
+    """Rows are keyed by (m, estimator): a repeat would merge two cells per trial into
+    one row, and an empty grid would write a header-only CSV.  A negative gamma would
+    run a noiseless truth."""
+    fields = {"n": 2, "T": 2000, "c": 20, "m_grid": (8, 16), field: value}
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**fields)
+
+
 def test_benchmark_row_validation():
     with pytest.raises(ValueError):
         BenchmarkRow(8, "lasso", 1.5, 0.0, 0.1, 0.0, 0.0)
@@ -59,6 +75,87 @@ def test_run_benchmark_deterministic_and_ordered():
     assert manifest["master_seed"] == 9
     assert len(manifest["trial_spawn_keys"]) == 2
     assert all(r.mean_solver_seconds == 0.0 for r in rows1)
+
+
+def test_pooled_and_serial_sweeps_write_the_same_files(tmp_path, capsys, monkeypatch):
+    """The CSV and seeds sidecar of a multi-trial, three-estimator sweep are the same
+    bytes whether its cells are solved in this process or on a pool of two workers."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "T": 4000, "c": 20, "m_grid": [16, 32], "trials": 3,
+                               "estimators": ["dantzig", "lasso", "mle"], "seed": 4}))
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        out_path = tmp_path / f"cpus{cpus}.csv"
+        code, _, _ = run(["benchmark", "--config", str(cfg), "--no-timing",
+                          "--output", str(out_path)], capsys)
+        assert code == 0
+        outputs[cpus] = (out_path.read_bytes(), Path(f"{out_path}.seeds.json").read_bytes())
+    assert outputs[1] == outputs[2]
+    assert len(outputs[1][0].splitlines()) == 1 + 2 * 3
+
+
+#: a two-trial sweep on a pool of two workers, which prints the workers' PIDs
+POOLED_SWEEP = """
+import multiprocessing
+from cstomo import experiment
+experiment._usable_cpus = lambda: 2
+rows, _ = experiment.run_benchmark(experiment.ExperimentConfig(
+    n=2, T=2000, c=20, m_grid=(8, 16), trials=2, seed=3), timing=False)
+assert len(rows) == 4
+print(*sorted(p.pid for p in multiprocessing.active_children()))
+"""
+
+
+def running(pid) -> bool:
+    """Whether a process exists and is not a zombie, by its /proc entry."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+@pytest.mark.parametrize("launch", ["file", "-c", "stdin", "killed"])
+def test_pooled_sweep_runs_from_any_main_and_leaves_no_workers(launch, tmp_path):
+    """The pool starts its workers by fork, so a sweep runs whatever `__main__` is, a
+    script on stdin included.  Its workers are gone once the process has exited, and
+    soon after it was killed.  Output goes to a file: a worker left alive would hold a
+    pipe open."""
+    killed = POOLED_SWEEP + "import os, signal\nos.kill(os.getpid(), signal.SIGKILL)\n"
+    script, out = tmp_path / "sweep.py", tmp_path / "out.txt"
+    script.write_text(killed if launch == "killed" else POOLED_SWEEP)
+    args, stdin = {"-c": (["-c", POOLED_SWEEP], None),
+                   "stdin": (["-"], POOLED_SWEEP)}.get(launch, ([str(script)], None))
+    src = Path(cstomo.__file__).resolve().parent.parent
+    with open(out, "w") as fh:
+        proc = subprocess.run([sys.executable, "-u", *args], input=stdin, stdout=fh,
+                              stderr=subprocess.STDOUT, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == (-signal.SIGKILL if launch == "killed" else 0), out.read_text()
+    pids = [int(pid) for pid in out.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + (30 if launch == "killed" else 0)
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = [pid for pid in pids if running(pid)]
+    for pid in alive:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    assert alive == []
+
+
+def test_import_loads_no_process_pool_modules():
+    """`multiprocessing` and `concurrent.futures` load at a sweep's first pooled call,
+    not at import, where they would add about 20 ms to every start."""
+    src = Path(cstomo.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cstomo, cstomo.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "cstomo.experiment" in loaded
+    assert not [m for m in loaded if m.startswith(("multiprocessing", "concurrent"))]
 
 
 def test_simulate_reconstruct_certify_pipeline(tmp_path, capsys):

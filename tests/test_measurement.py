@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import solve_sweep_cells
+
 import cstomo.cli
 import cstomo.measurement
 import cstomo.pauli
-from cstomo.experiment import ExperimentConfig, run_benchmark
+from cstomo.experiment import ExperimentConfig
 from cstomo.measurement import (
     EXACT,
     MeasurementPlan,
@@ -87,7 +89,7 @@ def test_plans_build_no_words_until_read(words_built, monkeypatch, tmp_path):
     assert len(words_built) == 40  # the plan file's labels
 
     words_built.clear()
-    run_benchmark(ExperimentConfig(n=3, m_grid=(16,), estimators=("lasso",), trials=1))
+    solve_sweep_cells(ExperimentConfig(n=3, m_grid=(16,), estimators=("lasso",), trials=1))
     assert words_built == []
 
 

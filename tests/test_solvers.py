@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import solve_sweep_cells
+
 from cstomo import solvers
-from cstomo.experiment import BENCH_SOLVER, ExperimentConfig, run_benchmark
+from cstomo.experiment import BENCH_SOLVER, ExperimentConfig
 from cstomo.measurement import (
     EXACT,
     MeasurementPlan,
@@ -560,7 +562,7 @@ def test_mle_converges_on_criterion_5_trials(monkeypatch):
     monkeypatch.setattr(solvers, "mle", recording)
     config = ExperimentConfig(n=4, T=1e4, c=20.0, m_grid=(32, 64, 96, 128, 192, 256),
                               estimators=("mle",), trials=2, gamma=0.01, seed=5)
-    run_benchmark(config, timing=False)
+    solve_sweep_cells(config)
     assert len(results) == 12
     assert all(r.converged for r in results), [r.iterations_used for r in results]
 
@@ -713,7 +715,7 @@ def test_dantzig_converges_on_sweep_cells(monkeypatch):
     monkeypatch.setattr(solvers, "dantzig_selector", recording)
     config = ExperimentConfig(n=4, T=1e5, c=20.0, m_grid=(32, 64, 96, 128, 192, 256),
                               estimators=("dantzig",), trials=2, gamma=0.01, seed=5)
-    run_benchmark(config, timing=False)
+    solve_sweep_cells(config)
     assert len(solves) == 12
     maps = [r.iterations_used for *_, r in solves]
     assert all(r.converged for *_, r in solves), maps
@@ -750,7 +752,7 @@ def test_lasso_converges_on_sweep_cells(monkeypatch):
     monkeypatch.setattr(solvers, "matrix_lasso", recording)
     config = ExperimentConfig(n=4, T=1e5, c=20.0, m_grid=(32, 64, 96, 128, 192, 256),
                               estimators=("lasso",), trials=2, gamma=0.01, seed=5)
-    run_benchmark(config, timing=False)
+    solve_sweep_cells(config)
     assert len(solves) == 12
     for plan, y, mu, settings, result in solves:
         assert settings == BENCH_SOLVER
