@@ -28,8 +28,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
-        d = mat.shape[0]
-        if mat.ndim != 2 or mat.shape != (d, d) or d & (d - 1) or d < 2:
+        d = mat.shape[0] if mat.ndim == 2 else 0
+        if mat.shape != (d, d) or d & (d - 1) or d < 2:
             raise ValueError(f"expected a square matrix with power-of-two size, got {mat.shape}")
         if np.linalg.norm(mat - mat.conj().T) > HERMITICITY_TOL * d:
             raise ValueError("matrix is not Hermitian within tolerance")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ def test_construction_rejects_non_hermitian():
         DensityMatrix(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(3))  # not a power of two
+    for bad in (np.array(1.0), np.ones(4), np.ones((2, 4)), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad.shape}")):
+            DensityMatrix(bad)
 
 
 def test_basic_properties():
