@@ -1,10 +1,14 @@
-"""Command-line entry points: argument parsing, config loading, and the file formats.
+"""Command-line entry points: argument parsing, the command funnel, and the file formats.
 
 Subcommands: simulate, reconstruct, certify, process, packing, benchmark.
-Every subcommand accepts --seed, --config <json>, and --output; outputs are
-deterministic for a fixed seed and config (the benchmark's wall-clock column
-is zeroed under --no-timing to keep its CSV byte-stable).  The estimator
-sweep behind `benchmark` lives in `cstomo.experiment`.
+Every subcommand accepts --seed, --config <json>, and --output.  `main` is the
+one funnel: it merges the options into the --config values, seeds one
+generator from `seed`, runs the subcommand, which only computes and returns
+its output text, and writes that text to --output or stdout (the benchmark's
+seeds sidecar beside its --output).  Outputs are deterministic for a fixed
+seed and config (the benchmark's wall-clock column is zeroed under
+--no-timing to keep its CSV byte-stable).  The estimator sweep behind
+`benchmark` lives in `cstomo.experiment`.
 
 Every JSON reader and writer lives here.  Complex matrices are row-major
 [re, im] pairs; a reader raises ValueError on a file that disagrees with itself.
@@ -102,13 +106,12 @@ def _record_from_block(block):
                              block["normalization"], exact=block["exact"])
 
 
-# --- subcommand plumbing -----------------------------------------------------
+# --- the command funnel ------------------------------------------------------
 
 def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = _read(args.config)
     for key, value in vars(args).items():
         if key in ("config", "func", "command") or value is None:
             continue
@@ -125,6 +128,17 @@ def _required(cfg, *keys):
     if missing:
         raise UsageError(f"the following options are required (or keys in --config): {missing}")
     return tuple(cfg[key] for key in keys)
+
+
+def _read(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _generator(cfg) -> np.random.Generator:
+    """The run's generator, seeded from cfg["seed"], which this sets to an int (0 if unset)."""
+    cfg["seed"] = int(cfg.get("seed", 0))
+    return np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
 
 
 def _emit(text: str, output):
@@ -156,39 +170,32 @@ def _draw_plan(cfg, n: int, rng) -> MeasurementPlan:
         n, sample_indices(n, int(m), with_replacement=False, rng=rng))
 
 
-def cmd_simulate(args):
-    cfg = _load_config(args)
-    seed = int(cfg.get("seed", 0))
-    n = int(cfg.get("n", 2))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+# --- subcommands: each maps (merged config, generator) to its output text -----
+
+def cmd_simulate(cfg, rng) -> str:
     if cfg.get("state"):
-        with open(cfg["state"]) as fh:
-            truth = density_matrix_from_dict(json.load(fh))
-        n = truth.n
+        truth = density_matrix_from_dict(_read(cfg["state"]))
     else:
-        truth = random_rank_r_projection(n, int(cfg.get("rank", 1)), rng, group="unitary")
+        truth = random_rank_r_projection(int(cfg.get("n", 2)), int(cfg.get("rank", 1)), rng,
+                                         group="unitary")
     gamma = float(cfg.get("gamma", 0.0))
     if gamma > 0:
         truth = depolarize_local(truth, gamma)
-    plan = _draw_plan(cfg, n, rng)
+    plan = _draw_plan(cfg, truth.n, rng)
     t = _parse_t(cfg.get("t"))
     record = simulate_measurements(plan, truth, t, rng)
-    payload = {
+    return _dump({
         "kind": "simulation",
-        "seed": seed,
+        "seed": cfg["seed"],
         "t": "exact" if t is EXACT else t,
         "plan": plan_to_dict(plan),
         "record": _record_block(record),
         "truth": density_matrix_to_dict(truth),
-    }
-    _emit(_dump(payload), cfg.get("output"))
-    return 0
+    })
 
 
-def cmd_reconstruct(args):
-    cfg = _load_config(args)
-    with open(cfg["input"]) as fh:
-        sim = json.load(fh)
+def cmd_reconstruct(cfg, rng) -> str:
+    sim = _read(cfg["input"])
     plan = plan_from_dict(sim["plan"])
     record = _record_from_block(sim["record"])
     t = _parse_t(sim["t"])
@@ -205,53 +212,40 @@ def cmd_reconstruct(args):
         payload["trace_distance"] = trace_distance(rho_hat, truth)
         payload["truth"] = sim["truth"]
         print(f"fidelity {payload['fidelity']:.6f}")
-    _emit(_dump(payload), cfg.get("output"))
-    return 0
+    return _dump(payload)
 
 
-def cmd_certify(args):
-    cfg = _load_config(args)
-    with open(cfg["input"]) as fh:
-        rec = json.load(fh)
+def cmd_certify(cfg, rng) -> str:
+    rec = _read(cfg["input"])
     rho_hat = density_matrix_from_dict(rec["estimate"])
     truth = density_matrix_from_dict(rec["truth"])
     if rho_hat.trace > 1.0:
         rho_hat = renormalized(rho_hat)
     eps = float(cfg.get("eps", 0.05))
     delta = float(cfg.get("delta", 0.1))
-    seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     oracle = StateOracle(truth, exact=bool(cfg.get("exact", False)))
     est = certify_fidelity(oracle, rho_hat, eps, delta, rng)
-    payload = {
+    print(f"F_hat {est.value:.6f}")
+    return _dump({
         "kind": "fidelity_certificate",
         "F_hat": est.value,
         "eps": est.epsilon,
         "delta": est.delta,
         "copies_used": est.copies_used,
         "per_element_error": est.matrix_element_errors,
-        "seed": seed,
-    }
-    print(f"F_hat {est.value:.6f}")
-    _emit(_dump(payload), cfg.get("output"))
-    return 0
+        "seed": cfg["seed"],
+    })
 
 
-def cmd_process(args):
-    cfg = _load_config(args)
-    seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = int(cfg.get("n", 2))
+def cmd_process(cfg, rng) -> str:
     if cfg.get("channel"):
-        with open(cfg["channel"]) as fh:
-            channel = channel_from_dict(json.load(fh))
-        n = channel.n
+        channel = channel_from_dict(_read(cfg["channel"]))
     else:
-        channel = unitary_channel(haar_random_unitary(1 << n, rng))
+        channel = unitary_channel(haar_random_unitary(1 << int(cfg.get("n", 2)), rng))
     gamma = float(cfg.get("gamma", 0.0))
     if gamma > 0:
-        channel = compose(local_depolarizing_channel(n, gamma), channel)
-    plan = _draw_plan(cfg, 2 * n, rng)
+        channel = compose(local_depolarizing_channel(channel.n, gamma), channel)
+    plan = _draw_plan(cfg, 2 * channel.n, rng)
     t = _parse_t(cfg.get("t"))
     record = simulate_process_measurements(channel, plan, t, rng)
     estimator = cfg.get("estimator", "lasso")
@@ -259,7 +253,7 @@ def cmd_process(args):
                                             default_weight(estimator, plan, t), BENCH_SOLVER)
     payload = {
         "kind": "process_reconstruction",
-        "seed": seed,
+        "seed": cfg["seed"],
         "estimator": estimator,
         "kraus_rank": diag["kraus_rank"],
         "tp_deviation": diag["tp_deviation"],
@@ -268,49 +262,33 @@ def cmd_process(args):
         "estimate": density_matrix_to_dict(diag["rho_e_hat"]),
     }
     print(f"jamiolkowski fidelity {payload['jamiolkowski_fidelity']:.6f}")
-    _emit(_dump(payload), cfg.get("output"))
-    return 0
+    return _dump(payload)
 
 
-def cmd_packing(args):
-    cfg = _load_config(args)
-    seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+def cmd_packing(cfg, rng) -> str:
     d, epsilon = _required(cfg, "d", "epsilon")
     packing = generate_packing(int(d), int(cfg.get("r", 1)),
                                float(epsilon), int(cfg.get("size", 10)),
                                int(cfg.get("max_attempts", 10000)), rng,
                                group=cfg.get("group", "special_orthogonal"))
-    manifest = {"kind": "packing_set", "seed": seed, "size": packing.size, "d": packing.d,
-                "epsilon": packing.epsilon, "alpha": packing.alpha,
-                "rejections": packing.rejections, "complete": packing.complete,
-                "states": [density_matrix_to_dict(s) for s in packing.states]}
-    _emit(_dump(manifest), cfg.get("output"))
     if not packing.complete:
         print(f"warning: only {packing.size} of the requested states found",
               file=sys.stderr)
-    return 0
+    return _dump({"kind": "packing_set", "seed": cfg["seed"], "size": packing.size,
+                  "d": packing.d, "epsilon": packing.epsilon, "alpha": packing.alpha,
+                  "rejections": packing.rejections, "complete": packing.complete,
+                  "states": [density_matrix_to_dict(s) for s in packing.states]})
 
 
-def cmd_benchmark(args):
-    cfg = _load_config(args)
+def cmd_benchmark(cfg, rng) -> str | tuple[str, str]:
+    """The sweep's CSV and its seeds manifest, which `main` writes beside --output;
+    under --dry-run, the copy count of each grid point."""
     # every other key must name an ExperimentConfig field, so a misspelled one fails
     config = ExperimentConfig(**{k: v for k, v in cfg.items() if k not in CLI_ONLY})
-    output = cfg.get("output")
     if cfg.get("dry_run"):
-        lines = ["m,t"]
-        for m in config.m_grid:
-            t = config.copies(m)
-            lines.append(f"{m},{'exact' if t is EXACT else t}")
-        _emit("\n".join(lines) + "\n", output)
-        return 0
-    timing = not cfg.get("no_timing")
-    rows, manifest = run_benchmark(config, timing=timing)
-    _emit(rows_to_csv(rows), output)
-    if output:
-        with open(output + ".seeds.json", "w") as fh:
-            fh.write(_dump(manifest))
-    return 0
+        return "m,t\n" + "".join(f"{m},{config.copies(m)}\n" for m in config.m_grid)
+    rows, manifest = run_benchmark(config, timing=not cfg.get("no_timing"))
+    return rows_to_csv(rows), _dump(manifest)
 
 
 def main(argv=None) -> int:
@@ -368,7 +346,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        result = args.func(cfg, _generator(cfg))
+        text, seeds = result if isinstance(result, tuple) else (result, None)
+        _emit(text, cfg.get("output"))
+        if seeds is not None and cfg.get("output"):
+            _emit(seeds, cfg["output"] + ".seeds.json")
+        return 0
     except UsageError as exc:
         sub.choices[args.command].error(str(exc))  # usage on stderr, exit status 2
     except Exception as exc:  # noqa: BLE001 - single reporting funnel for the CLI

@@ -12,21 +12,26 @@ import io
 import itertools
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .measurement import EXACT, MeasurementPlan, MeasurementRecord, simulate_measurements
+from .measurement import MeasurementPlan, MeasurementRecord, simulate_measurements
 from .pauli import sample_indices
 from .solvers import ESTIMATORS, ReconstructionResult, SolverConfig, default_weight, run_estimator
 from .states import DensityMatrix, depolarize_local, fidelity, haar_random_pure, trace_distance
 
-CSV_HEADER = "m,estimator,mean_fidelity,std_fidelity,mean_trace_distance,std_trace_distance,mean_solver_seconds"
-
 #: solver settings for batch runs: looser than unit-test defaults, still well
 #: below the statistical noise floor of the benchmark
 BENCH_SOLVER = SolverConfig(tolerance=1e-7, max_iterations=2000)
+
+
+def _count(field: str, value) -> int:
+    """`value` as an int if it is a whole number >= 1 (8 or 8.0); else a ValueError naming `field`."""
+    if isinstance(value, bool) or not np.isfinite(value) or value != int(value) or value < 1:
+        raise ValueError(f"{field} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -39,13 +44,17 @@ class ExperimentConfig:
     trials: int = 40
     gamma: float = 0.01
     seed: int = 0
-    exact: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
+        object.__setattr__(self, "n", _count("n", self.n))
+        object.__setattr__(self, "trials", _count("trials", self.trials))
+        object.__setattr__(self, "m_grid", tuple(_count("m_grid", m) for m in self.m_grid))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        # NaN fails every comparison, so these also reject it
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not 0 <= self.c < np.inf:
+            raise ValueError(f"c must be non-negative and finite, got {self.c}")
         # rows are keyed by (m, estimator): a repeat would merge two cells into one row
         if not self.m_grid or len(set(self.m_grid)) < len(self.m_grid):
             raise ValueError(f"m_grid must be non-empty with no repeats, got {self.m_grid}")
@@ -59,15 +68,15 @@ class ExperimentConfig:
         for m in self.m_grid:
             if m > 4**self.n:
                 raise ValueError(f"m={m} exceeds the {4**self.n} available settings")
-            if not self.exact and self.T - self.c * m <= m:
+            if self.T - self.c * m <= m:
                 raise ValueError(
                     f"infeasible m={m}: T={self.T} at cost c={self.c} leaves "
                     f"under one shot per setting")
 
-    def copies(self, m: int):
-        """Copies t for a grid point: EXACT, or t = T - c m, what the duration T leaves
-        after a switching cost c per setting (`__post_init__` rejects t <= m)."""
-        return EXACT if self.exact else int(self.T - self.c * m)
+    def copies(self, m: int) -> int:
+        """Copies t for a grid point: t = T - c m, what the duration T leaves after a
+        switching cost c per setting (`__post_init__` rejects t <= m)."""
+        return int(self.T - self.c * m)
 
 
 @dataclass(frozen=True)
@@ -92,13 +101,12 @@ def _fmt(x: float) -> str:
 
 
 def rows_to_csv(rows) -> str:
+    """One column per `BenchmarkRow` field, in field order; floats to 17 significant digits."""
     buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
     writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(f.name for f in fields(BenchmarkRow))
     for row in rows:
-        writer.writerow([row.m, row.estimator, _fmt(row.mean_fidelity),
-                         _fmt(row.std_fidelity), _fmt(row.mean_trace_distance),
-                         _fmt(row.std_trace_distance), _fmt(row.mean_solver_seconds)])
+        writer.writerow(_fmt(v) if isinstance(v, float) else v for v in astuple(row))
     return buf.getvalue()
 
 

@@ -48,11 +48,14 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("m_grid", (8, 8)), ("m_grid", ()), ("estimators", ("lasso", "lasso")),
-    ("estimators", ()), ("gamma", -0.5), ("gamma", 2.0)])
+    ("estimators", ()), ("gamma", -0.5), ("gamma", 2.0), ("c", -5), ("c", float("nan")),
+    ("T", float("nan")), ("T", float("inf")), ("trials", 1.5), ("n", 2.5),
+    ("m_grid", (8.5, 16))])
 def test_config_rejects_inputs_outside_its_contract(field, value):
     """Rows are keyed by (m, estimator): a repeat would merge two cells per trial into
     one row, and an empty grid would write a header-only CSV.  A negative gamma would
-    run a noiseless truth."""
+    run a noiseless truth.  A negative c would hand out more copies than T; a NaN or
+    infinite budget, or a fractional count or m, would fail mid-sweep or be truncated."""
     fields = {"n": 2, "T": 2000, "c": 20, "m_grid": (8, 16), field: value}
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**fields)
@@ -216,6 +219,10 @@ def test_benchmark_rejects_misspelled_config_keys(tmp_path, capsys):
     payload = error_of(err)
     assert payload["error"] == "TypeError"
     assert "m_gird" in payload["message"]
+    # the noiseless sweep's switch is gone, so it fails like any unknown key
+    cfg.write_text(json.dumps({"n": 2, "T": 2000, "m_grid": [8], "exact": True}))
+    code, out, err = run(["benchmark", "--config", str(cfg), "--dry-run"], capsys)
+    assert code == 1 and out == "" and "'exact'" in error_of(err)["message"]
 
 
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):
@@ -228,6 +235,31 @@ def test_module_entry_point_runs_without_runtime_warning(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["m,t", "8,1840", "16,1680"]
+
+
+def test_output_file_holds_what_stdout_shows(tmp_path, capsys):
+    """Every subcommand writes to --output the text it prints on stdout without
+    --output, after its summary line; on stdout a JSON output gets one trailing newline."""
+    sim, rec = tmp_path / "sim.json", tmp_path / "rec.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "T": 2000, "m_grid": [8], "trials": 1,
+                               "estimators": ["lasso"], "seed": 2}))
+    for argv, output, summary in (
+            (["simulate", "--n", "2", "--m", "6", "--t", "500", "--seed", "1"], sim, ""),
+            (["reconstruct", "--input", str(sim)], rec, "fidelity"),
+            (["certify", "--input", str(rec), "--seed", "2"], tmp_path / "cert.json", "F_hat"),
+            (["process", "--n", "1", "--t", "exact"], tmp_path / "proc.json", "jamiolkowski"),
+            (["packing", "--d", "4", "--epsilon", "0.4", "--size", "2"],
+             tmp_path / "packing.json", ""),
+            (["benchmark", "--config", str(cfg), "--no-timing"], tmp_path / "bench.csv", ""),
+            (["benchmark", "--config", str(cfg), "--dry-run"], tmp_path / "dry.csv", "")):
+        code, shown, _ = run(argv, capsys)
+        assert code == 0, argv
+        code, printed, _ = run(argv + ["--output", str(output)], capsys)
+        assert code == 0, argv
+        assert printed.startswith(summary) and printed.count("\n") == (1 if summary else 0)
+        newline = "\n" if output.suffix == ".json" else ""
+        assert shown == printed + output.read_text() + newline, argv
 
 
 def test_packing_subcommand(tmp_path, capsys):
