@@ -19,19 +19,13 @@ import numpy as np
 
 from .measurement import MeasurementPlan, MeasurementRecord, simulate_measurements
 from .pauli import sample_indices
-from .solvers import ESTIMATORS, ReconstructionResult, SolverConfig, default_weight, run_estimator
+from .solvers import (ESTIMATORS, ReconstructionResult, SolverConfig, _count, default_weight,
+                      run_estimator)
 from .states import DensityMatrix, depolarize_local, fidelity, haar_random_pure, trace_distance
 
 #: solver settings for batch runs: looser than unit-test defaults, still well
 #: below the statistical noise floor of the benchmark
 BENCH_SOLVER = SolverConfig(tolerance=1e-7, max_iterations=2000)
-
-
-def _count(field: str, value) -> int:
-    """`value` as an int if it is a whole number >= 1 (8 or 8.0); else a ValueError naming `field`."""
-    if isinstance(value, bool) or not np.isfinite(value) or value != int(value) or value < 1:
-        raise ValueError(f"{field} must be a whole number >= 1, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -49,6 +43,10 @@ class ExperimentConfig:
         object.__setattr__(self, "n", _count("n", self.n))
         object.__setattr__(self, "trials", _count("trials", self.trials))
         object.__setattr__(self, "m_grid", tuple(_count("m_grid", m) for m in self.m_grid))
+        # a bare string would be read as a sequence of letters
+        if isinstance(self.estimators, str):
+            raise ValueError(
+                f"estimators must be a sequence of names, got the string {self.estimators!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         # NaN fails every comparison, so these also reject it
         if not 0 < self.T < np.inf:

@@ -150,6 +150,9 @@ class MeasurementRecord:
         plus = np.asarray(self.plus_counts, dtype=np.int64)
         if not (y.shape == shots.shape == plus.shape) or y.ndim != 1:
             raise ValueError("y, shots, and plus_counts must be equal-length vectors")
+        # the consistency test below is False for NaN, and exact records have no counts to test
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
         if np.any(plus < 0) or np.any(plus > shots):
             raise ValueError("plus counts must lie in [0, shots]")
         if not self.exact:

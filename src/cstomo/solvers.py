@@ -2,10 +2,9 @@
 
 Three estimators share the sampling-operator machinery:
 
-* matrix Lasso -- least squares with a trace penalty, solved by accelerated
-  proximal gradient (FISTA with adaptive restart) down a continuation ladder;
-  the proximal map is eigenvalue soft-thresholding clamped to the PSD cone;
-  every stage stops on the KKT conditions of G = A*(A(X) - y) + mu I;
+* matrix Lasso -- least squares with a trace penalty down a continuation
+  ladder; the projection is eigenvalue soft-thresholding clamped to the PSD
+  cone, and every stage stops on the KKT conditions of G = A*(A(X) - y) + mu I;
 * matrix Dantzig selector -- trace minimization under an operator-norm bound
   on the correlated residual, solved by exact two-block ADMM on the split
   X = Y, Z = A*A(Y) - A*(y): the X and Z steps are one eigendecomposition
@@ -15,34 +14,31 @@ Three estimators share the sampling-operator machinery:
   safeguarded type-II Anderson acceleration, it stops on a duality-gap
   certificate from the Dantzig dual;
 * MLE -- the two-outcome Pauli likelihood maximized over density matrices
-  by accelerated projected gradient ascent (Shang, Zhang, Ng, PRA 95,
-  062336 (2017)) from the maximally mixed state; the projection maps the
-  eigenvalues onto the simplex, and it stops on the optimality certificate
-  lambda_max(R(rho))/N - 1 <= tolerance.
+  (Shang, Zhang, Ng, PRA 95, 062336 (2017)) from the maximally mixed state;
+  the projection maps the eigenvalues onto the simplex, and it stops on the
+  optimality certificate lambda_max(R(rho))/N - 1 <= tolerance.
 
-The first-order methods replace interior-point solving; accuracy is guarded
-by the feasibility / stationarity certificates reported in the result.
-`run_estimator` runs one by name, with the weight `default_weight` picks.
+The Lasso (at the fixed step 1/L) and the MLE (by an Armijo search) run on
+one accelerated projected-gradient loop, `_accelerated`.  Accuracy is guarded
+by the certificates reported in the result.  `run_estimator` runs one by
+name, with the weight `default_weight` picks.
 
-Operator budget per iteration, in forward maps A (one `expectations`) and
-adjoints A* (one `pauli_sum`), besides the eigendecompositions:
+Operator budget, in forward maps A (one `expectations`) and adjoints A* (one
+`pauli_sum`), besides the eigendecompositions:
 
-* Lasso: 1 A + 1 A*, since A(X) and A(V) are carried forward; an adaptive
-  restart adds 1 A + 1 A*, and each continuation stage starts with 1 A; the
-  KKT check after every iteration reads the complementarity in O(m) from the
-  carried A(X), and only when that holds pays 1 A* and one eigvalsh for
-  lambda_min(G);
+* the shared loop: 1 A and one eigendecomposition per trial step (an Armijo
+  backtrack or a momentum restart adds one); 1 A* for the gradient at a
+  momentum point, and none for a step from X once its certificate paid it;
+  per certificate (at the start and after every accepted iterate) 1 A* and
+  one eigvalsh for the MLE, and for the Lasso an O(m) complementarity test
+  from the carried A(X) that pays them only when it passes; 1 A at each
+  start, and 1 A* after the loop for the reported residual;
 * Dantzig: no A or A* inside the loop (1 A* for A*(y) before it); per map
   evaluation one eigh of a (2, d, d) stack, one forward `pauli_grid` and one
   `pauli_grid_adjoint` of a stack of two (B(Y) is carried with Y, and the
   Anderson extrapolation combines it with the same coefficients); every
   CHECK_EVERY maps a certificate of one forward and one adjoint transform of
-  a stack of two and one eigvalsh of a stack of three;
-* MLE: 1 A and one eigendecomposition per trial step (the projection, then
-  the likelihood; an Armijo backtrack or a momentum restart adds a trial
-  step), 1 A* for R at the accepted iterate with one eigvalsh for its
-  certificate, and 1 A* for the gradient at the momentum point; 1 A* after
-  the loop for the reported feasibility residual.
+  a stack of two and one eigvalsh of a stack of three.
 """
 
 from __future__ import annotations
@@ -76,10 +72,17 @@ CHECK_EVERY = 10
 RHO = 4.0
 #: Lasso continuation: a warm-up stage at penalty mu stops at the KKT tolerance WARM_START_KKT mu
 WARM_START_KKT = 0.01
-#: FISTA restarts on an objective rise above this relative margin, not on rounding noise
+#: the Lasso restarts on an objective rise above this relative margin, not on rounding noise
 RESTART_MARGIN = 4 * np.finfo(float).eps
 #: the estimators `run_estimator` runs by name
 ESTIMATORS = ("dantzig", "lasso", "mle")
+
+
+def _count(field: str, value) -> int:
+    """`value` as an int if it is a whole number >= 1 (8 or 8.0); else a ValueError naming `field`."""
+    if isinstance(value, bool) or not np.isfinite(value) or value != int(value) or value < 1:
+        raise ValueError(f"{field} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,10 @@ class SolverConfig:
     max_iterations: int = 5000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
+        # NaN fails every comparison, so this also rejects it
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        object.__setattr__(self, "max_iterations", _count("max_iterations", self.max_iterations))
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,16 @@ def default_mu(m: int, t: float) -> float:
     return 4.0 * m / np.sqrt(t)
 
 
-def _check_plan(plan: MeasurementPlan):
+def _check_data(plan: MeasurementPlan, y) -> np.ndarray:
+    """y as a float vector; a plan of identity words only raises, and so does a y
+    that is not one finite value per word (NaN would reach the eigensolver)."""
     if not plan.indices.any():
         raise ValueError("plan contains only identity Paulis; nothing to reconstruct")
+    y = np.asarray(y, dtype=float)
+    if y.shape != (plan.m,) or not np.all(np.isfinite(y)):
+        raise ValueError(f"y must hold {plan.m} finite values, got shape {y.shape} with "
+                         f"{np.count_nonzero(~np.isfinite(y))} not finite")
+    return y
 
 
 def operator_norm(mat: np.ndarray) -> float:
@@ -138,89 +148,121 @@ def _prox_trace(mat: np.ndarray, thresh: float) -> np.ndarray:
     return eig_apply(hermitize(mat), lambda w: np.maximum(w - thresh, 0.0))
 
 
-def _complementarity(X, AX, y, mu) -> float:
-    """<X, G> for G = A*(A(X) - y) + mu I, as <A(X), A(X) - y> + mu Tr X: O(m) from A(X)."""
-    return float(AX @ (AX - y)) + mu * float(np.trace(X).real)
+def _accelerated(X, forward, objective, gradient, project, step, certify, max_iter, margin,
+                 growth=None, admissible=None):
+    """Minimize objective(X, A(X)) by projected gradient steps with momentum and
+    adaptive restart (Beck, Teboulle, SIAM J. Imaging Sci. 2, 183 (2009);
+    O'Donoghue, Candes, Found. Comput. Math. 15, 715 (2015)) from X.
+
+    A step from V is project(V - step gradient(V, A(V)), step); A is linear,
+    so A(X) and A(V) are carried with the iterates.  A step from the momentum
+    point whose objective rises more than margin |f(X)| above f(X) is retaken
+    from X without momentum, and a rise from X ends the loop.  With `growth`,
+    each step is halved until the quadratic model at V bounds its objective,
+    and grows by `growth` after every accepted iterate; without, it is fixed.
+    A momentum point whose A(V) fails `admissible` is not taken.  certify(X,
+    A(X)) returns (holds, the gradient at X or None if it did not compute it)
+    at the start and after every accepted iterate; the loop stops once it
+    holds, and a step from X reuses that gradient.
+    Returns (X, A(X), objective history, converged, iterations).
+    """
+
+    def descend(V, AV, grad, step):
+        grad = gradient(V, AV) if grad is None else grad
+        f_V = objective(V, AV) if growth else None
+        for _ in range(MAX_BACKTRACKS):
+            X_new = project(V - step * grad, step)
+            AX_new = forward(X_new)
+            f_new = objective(X_new, AX_new)
+            if not growth or f_new <= (f_V + float(np.vdot(grad, diff := X_new - V).real)
+                                       + float(np.vdot(diff, diff).real) / (2.0 * step)):
+                break
+            step *= 0.5
+        return X_new, AX_new, f_new, step
+
+    AX = forward(X)
+    history = [objective(X, AX)]
+    converged, grad = certify(X, AX)
+    V, AV, grad_V = X, AX, grad
+    theta = 1.0
+    iterations = 0
+    while not converged and iterations < max_iter:
+        iterations += 1
+        X_new, AX_new, f_new, step = descend(V, AV, grad_V, step)
+        ceiling = history[-1] + margin * abs(history[-1])
+        if f_new > ceiling and V is not X:
+            theta = 1.0
+            X_new, AX_new, f_new, step = descend(X, AX, grad, step)
+        if f_new > ceiling:
+            break  # no descent from X either: the objective is flat to rounding
+        history.append(f_new)
+        converged, grad = certify(X_new, AX_new)
+        if growth:
+            step *= growth
+        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
+        beta = (theta - 1.0) / theta_new
+        theta = theta_new
+        V, AV, grad_V = X_new, AX_new, grad
+        AV_momentum = AX_new + beta * (AX_new - AX)
+        if beta > 0 and (admissible is None or admissible(AV_momentum)):
+            V, AV, grad_V = X_new + beta * (X_new - X), AV_momentum, None
+        elif beta > 0:
+            theta = 1.0  # an inadmissible momentum point restarts the momentum
+        X, AX = X_new, AX_new
+    return X, AX, history, converged, iterations
 
 
-def _fista_stage(plan, y, mu, X, step, max_iter, kkt_tol):
-    """FISTA with adaptive restart from warm start X; returns (X, A(X), history, converged, iters).
+def _lasso_stage(plan, y, mu, X, step, max_iter, kkt_tol):
+    """One Lasso stage at penalty mu from X on `_accelerated` at the fixed step 1/L.
 
-    A is linear, so A(X) and A(V) are carried forward with the iterates
-    instead of being recomputed for the objective and the gradient.  After
-    every iteration the stage checks the KKT conditions at X of
-    G = A*(A(X) - y) + mu I, and stops, converged, when |<X, G>| <= kkt_tol,
-    read in O(m) from A(X), and then lambda_min(G) >= -kkt_tol, which costs
-    1 A* and one eigvalsh.
+    It stops on the KKT conditions of G = A*(A(X) - y) + mu I:
+    |<X, G>| <= kkt_tol, read in O(m) as <A(X), A(X) - y> + mu Tr X, and
+    only then lambda_min(G) >= -kkt_tol, which costs 1 A* and one eigvalsh.
     """
 
     def objective(mat, a_mat):
         resid = a_mat - y
         return 0.5 * float(resid @ resid) + mu * float(np.trace(mat).real)
 
-    def prox_step(V, AV):
-        grad = adjoint_sampling_operator(plan, AV - y)
-        X_new = _prox_trace(V - step * grad, mu * step)
-        AX_new = apply_sampling_operator(plan, X_new)
-        return X_new, AX_new, objective(X_new, AX_new)
+    def gradient(mat, a_mat):
+        return adjoint_sampling_operator(plan, a_mat - y)
 
-    AX = apply_sampling_operator(plan, X)
-    V, AV = X, AX
-    theta = 1.0
-    history = [objective(X, AX)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        X_new, AX_new, obj = prox_step(V, AV)
-        if obj > history[-1] + RESTART_MARGIN * abs(history[-1]):
-            # adaptive restart: drop momentum when the objective backtracks
-            theta = 1.0
-            X_new, AX_new, obj = prox_step(X, AX)
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
-        beta = (theta - 1.0) / theta_new
-        V = X_new + beta * (X_new - X)
-        AV = AX_new + beta * (AX_new - AX)
-        X, AX = X_new, AX_new
-        theta = theta_new
-        history.append(obj)
-        if abs(_complementarity(X, AX, y, mu)) <= kkt_tol:
-            G = adjoint_sampling_operator(plan, AX - y) + mu * np.eye(plan.d)
-            if np.linalg.eigvalsh(G)[0] >= -kkt_tol:
-                converged = True
-                break
-    return X, AX, history, converged, iterations
+    def certify(mat, a_mat):
+        if not abs(float(a_mat @ (a_mat - y)) + mu * float(np.trace(mat).real)) <= kkt_tol:
+            return False, None
+        grad = gradient(mat, a_mat)
+        return bool(np.linalg.eigvalsh(grad + mu * np.eye(plan.d))[0] >= -kkt_tol), grad
+
+    return _accelerated(X, lambda mat: apply_sampling_operator(plan, mat), objective, gradient,
+                        lambda mat, s: _prox_trace(mat, mu * s), step, certify, max_iter,
+                        RESTART_MARGIN)
 
 
 def matrix_lasso(plan: MeasurementPlan, y: np.ndarray, mu: float,
                  config: SolverConfig = SolverConfig()) -> ReconstructionResult:
     """Minimize (1/2)||A(X) - y||^2 + mu Tr(X) over X >= 0.
 
-    Solved by accelerated proximal gradient.  For mu far below the data scale
-    a cold start crawls, so a continuation schedule first solves with a large
-    penalty and warm-starts down a geometric ladder to the requested mu; only
-    the final stage decides convergence and the reported history and
-    iterations.  Every stage checks its KKT conditions after every iteration.
-    A warm-up stage at penalty mu' is only a warm start, so it stops once they
+    For mu far below the data scale a cold start crawls, so a continuation
+    schedule first solves with a large penalty and warm-starts down a
+    geometric ladder to the requested mu; only the final stage decides
+    convergence and the reported history and iterations.  A warm-up stage at
+    penalty mu' is only a warm start, so it stops once its KKT conditions
     hold to WARM_START_KKT mu'; the final stage stops once they hold to the
     configured tolerance, and `converged` means they do.
     """
     if not mu >= 0:
         raise ValueError(f"mu must be nonnegative, got {mu!r}")
-    _check_plan(plan)
-    y = np.asarray(y, dtype=float)
-    d = plan.d
-    L = sampling_lipschitz(plan)
-    step = 1.0 / L
-
+    y = _check_data(plan, y)
+    step = 1.0 / sampling_lipschitz(plan)
     data_scale = operator_norm(adjoint_sampling_operator(plan, y))
-    X = np.zeros((d, d), dtype=complex)
+    X = np.zeros((plan.d, plan.d), dtype=complex)
     stage_mu = 0.2 * data_scale
     ladder_floor = max(mu, 1e-9 * data_scale)
     while stage_mu > 4.0 * ladder_floor:
-        X, _, _, _, _ = _fista_stage(plan, y, stage_mu, X, step, min(400, config.max_iterations),
-                                     WARM_START_KKT * stage_mu)
+        X = _lasso_stage(plan, y, stage_mu, X, step, min(400, config.max_iterations),
+                         WARM_START_KKT * stage_mu)[0]
         stage_mu /= 4.0
-    X, AX, history, converged, iterations = _fista_stage(
+    X, AX, history, converged, iterations = _lasso_stage(
         plan, y, mu, X, step, config.max_iterations, config.tolerance)
     feas = operator_norm(adjoint_sampling_operator(plan, AX - y))
     return ReconstructionResult(DensityMatrix(hermitize(X)), tuple(history), feas,
@@ -284,8 +326,7 @@ def dantzig_selector(plan: MeasurementPlan, y: np.ndarray, lam: float,
     """
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam!r}")
-    _check_plan(plan)
-    y = np.asarray(y, dtype=float)
+    y = _check_data(plan, y)
     d = plan.d
 
     c = adjoint_sampling_operator(plan, y)
@@ -375,12 +416,11 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
 
     Maximizes L(rho) = sum_i w_i^+ log p_i^+ + w_i^- log p_i^- over density
     matrices from the maximally mixed state, where p_i^± = (1 ± Tr(P_i rho))/2
-    and w_i^± are the observed counts (frequencies for exact records).  Each
-    step goes along the gradient at the momentum point and projects onto the
-    density matrices; an Armijo test against the momentum point picks the
-    step, which grows again after every accepted iterate.  The momentum
-    restarts whenever the likelihood would drop, so the history of accepted
-    iterates never decreases.
+    and w_i^± are the observed counts (frequencies for exact records), by
+    `_accelerated` on -L with an Armijo step that grows by STEP_GROWTH after
+    every accepted iterate.  The margin is 0: the momentum restarts whenever the
+    likelihood would drop, so the history never decreases.  A momentum point
+    outside the likelihood's domain is not taken.
 
     Stops when lambda_max(R(rho))/N - 1 <= tolerance, where
     R(rho) = sum_i sum_{s=+,-} (w_i^s / p_i^s) Pi_i^s with Pi_i^± = (1 ± P_i)/2
@@ -388,10 +428,7 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
     the certificate bounds the log-likelihood gap to the maximum by
     tolerance * N; `converged` is True exactly when it holds.
     """
-    _check_plan(plan)
-    if record.m != plan.m:
-        raise ValueError("record and plan lengths differ")
-    d = plan.d
+    _check_data(plan, record.y)
     f_plus = record.plus_frequencies()
     f_minus = 1.0 - f_plus
     weights = np.ones(plan.m) if record.exact else record.shots.astype(float)
@@ -416,71 +453,27 @@ def mle(plan: MeasurementPlan, record: MeasurementRecord,
         return (plan.pauli_sum(0.5 * (ratio_plus - ratio_minus)),
                 0.5 * float(np.sum(ratio_plus + ratio_minus)))
 
-    def certificate(grad, ident):
-        return (eig_reduce(grad, np.asarray, np.max) + ident) / total - 1.0
+    def certify(mat, exps):
+        """The certificate at rho, and the gradient of -L there."""
+        grad, ident = r_operator(exps)
+        return (eig_reduce(grad, np.asarray, np.max) + ident) / total - 1.0 <= config.tolerance, -grad
 
     def in_domain(exps):
         """Every outcome with weight keeps a probability above the floor."""
         return (np.all(1.0 + exps > 2.0 * PROB_FLOOR, where=w_plus > 0)
                 and np.all(1.0 - exps > 2.0 * PROB_FLOOR, where=w_minus > 0))
 
-    def ascend(V, ll_V, grad_V, step):
-        """Projected step from V, halved until it passes the Armijo test against V."""
-        for _ in range(MAX_BACKTRACKS):
-            X_new = eig_apply(V + step * grad_V, project_simplex)
-            AX_new = plan.expectations(X_new)
-            ll_new = log_likelihood(AX_new)
-            diff = X_new - V
-            model = (ll_V + float(np.vdot(grad_V, diff).real)
-                     - float(np.vdot(diff, diff).real) / (2.0 * step))
-            if ll_new >= model:
-                break
-            step *= 0.5
-        return X_new, AX_new, ll_new, step
-
     # the curvature of -L at the maximally mixed state is at most d times the
     # largest total weight on one Pauli word; the first step is its inverse
     _, word = np.unique(plan.indices, return_inverse=True)
-    step = 1.0 / (d * float(np.max(np.bincount(word.ravel(), w_plus + w_minus))))
-
-    X = np.eye(d, dtype=complex) / d
-    AX = plan.expectations(X)
-    ll = log_likelihood(AX)
-    grad, ident = r_operator(AX)
-    history = [ll]
-    converged = certificate(grad, ident) <= config.tolerance
-    V, ll_V, grad_V = X, ll, grad
-    theta = 1.0
-    iterations = 0
-    while not converged and iterations < config.max_iterations:
-        iterations += 1
-        X_new, AX_new, ll_new, step = ascend(V, ll_V, grad_V, step)
-        if ll_new < ll and V is not X:
-            # restart: drop the momentum and step from the accepted iterate
-            theta = 1.0
-            X_new, AX_new, ll_new, step = ascend(X, ll, grad, step)
-        if ll_new < ll:
-            break  # no ascent from the accepted iterate: L is flat to rounding
-        X_prev, AX_prev = X, AX
-        X, AX, ll = X_new, AX_new, ll_new
-        grad, ident = r_operator(AX)
-        history.append(ll)
-        converged = certificate(grad, ident) <= config.tolerance
-        step *= STEP_GROWTH
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
-        beta = (theta - 1.0) / theta_new
-        theta = theta_new
-        V, ll_V, grad_V = X, ll, grad
-        if beta > 0:
-            AV = AX + beta * (AX - AX_prev)
-            if in_domain(AV):
-                V = X + beta * (X - X_prev)
-                ll_V = log_likelihood(AV)
-                grad_V, _ = r_operator(AV)
-            else:
-                theta = 1.0  # the momentum point leaves the likelihood's domain: restart
+    step = 1.0 / (plan.d * float(np.max(np.bincount(word.ravel(), w_plus + w_minus))))
+    X, AX, history, converged, iterations = _accelerated(
+        np.eye(plan.d, dtype=complex) / plan.d, plan.expectations, lambda mat, exps: -log_likelihood(exps),
+        lambda mat, exps: -r_operator(exps)[0], lambda mat, s: eig_apply(mat, project_simplex),
+        step, certify, config.max_iterations, 0.0, STEP_GROWTH, in_domain)
     feas = operator_norm(adjoint_sampling_operator(plan, plan.normalization * AX - record.y))
-    return ReconstructionResult(DensityMatrix(hermitize(X)), tuple(history), feas, iterations, converged)
+    return ReconstructionResult(DensityMatrix(hermitize(X)), tuple(-f for f in history), feas,
+                                iterations, bool(converged))
 
 
 def renormalize(result: ReconstructionResult) -> ReconstructionResult:

@@ -50,15 +50,19 @@ def test_config_validation():
     ("m_grid", (8, 8)), ("m_grid", ()), ("estimators", ("lasso", "lasso")),
     ("estimators", ()), ("gamma", -0.5), ("gamma", 2.0), ("c", -5), ("c", float("nan")),
     ("T", float("nan")), ("T", float("inf")), ("trials", 1.5), ("n", 2.5),
-    ("m_grid", (8.5, 16))])
+    ("m_grid", (8.5, 16)), ("estimators", "mle"), ("estimators", "lasso")])
 def test_config_rejects_inputs_outside_its_contract(field, value):
     """Rows are keyed by (m, estimator): a repeat would merge two cells per trial into
     one row, and an empty grid would write a header-only CSV.  A negative gamma would
     run a noiseless truth.  A negative c would hand out more copies than T; a NaN or
-    infinite budget, or a fractional count or m, would fail mid-sweep or be truncated."""
+    infinite budget, or a fractional count or m, would fail mid-sweep or be truncated.
+    A bare string of estimators would be read as its letters."""
     fields = {"n": 2, "T": 2000, "c": 20, "m_grid": (8, 16), field: value}
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**fields)
+    if isinstance(value, str):
+        with pytest.raises(ValueError, match=repr(value)):
+            ExperimentConfig(**fields)
 
 
 def test_benchmark_row_validation():

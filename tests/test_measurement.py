@@ -282,6 +282,14 @@ def test_record_invariant_enforced():
         MeasurementRecord(np.array([0.9]), np.array([10]), np.array([5]), 1.0)
     with pytest.raises(ValueError):
         MeasurementRecord(np.array([0.0]), np.array([10]), np.array([11]), 1.0)
+    # NaN fails the consistency test of a sampled record too, and exact records carry
+    # no counts to test y against
+    zeros = np.zeros(2, dtype=np.int64)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="y must be finite"):
+            MeasurementRecord(np.array([0.0, bad]), np.array([10, 10]), np.array([5, 5]), 1.0)
+        with pytest.raises(ValueError, match="y must be finite"):
+            MeasurementRecord(np.array([0.5, bad]), zeros, zeros, 1.0, exact=True)
 
 
 def test_determinism():

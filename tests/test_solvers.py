@@ -20,7 +20,7 @@ from cstomo.solvers import (
     CHECK_EVERY,
     PROB_FLOOR,
     SolverConfig,
-    _fista_stage,
+    _lasso_stage,
     _prox_trace,
     dantzig_selector,
     default_lambda,
@@ -184,6 +184,16 @@ def test_degenerate_plans_rejected():
     for mu in (-0.1, np.nan):
         with pytest.raises(ValueError, match=re.escape(f"mu must be nonnegative, got {mu!r}")):
             matrix_lasso(plan, record.y, mu)
+    # non-finite data raise before they reach the eigensolver, and so does data of
+    # another length, the record of another plan included
+    for y in (np.where(np.arange(10) == 3, np.nan, record.y), np.full(10, np.inf), record.y[:9]):
+        with pytest.raises(ValueError, match="y must hold 10 finite values"):
+            matrix_lasso(plan, y, 0.1)
+        with pytest.raises(ValueError, match="y must hold 10 finite values"):
+            dantzig_selector(plan, y, 0.1)
+    _, _, other = noisy_instance(0, m=12)
+    with pytest.raises(ValueError, match="y must hold 10 finite values"):
+        mle(plan, other)
 
 
 def test_mle_log_likelihood_monotone():
@@ -264,10 +274,14 @@ def test_sampling_lipschitz_is_the_gram_norm():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
+    """A NaN tolerance would run every solve to its cap; a fractional or boolean cap
+    is not an iteration count.  A whole-valued float cap is read as its int."""
+    for field, value in (("tolerance", 0.0), ("tolerance", -1e-9), ("tolerance", np.nan),
+                         ("tolerance", np.inf), ("max_iterations", 0), ("max_iterations", 2.5),
+                         ("max_iterations", True), ("max_iterations", np.nan)):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+    assert SolverConfig(max_iterations=2000.0).max_iterations == 2000
 
 
 def test_noise_level_sets_error_scale():
@@ -415,7 +429,7 @@ def test_fista_stage_follows_reference_iterates():
     plan, y, step = fista_instance(20)
     starts = [np.zeros((8, 8), dtype=complex), np.eye(8, dtype=complex) / 8]
     for mu, X0 in zip((0.05, 0.5), starts):
-        X, AX, history, converged, iters = _fista_stage(plan, y, mu, X0, step, 3000, FISTA_TOL)
+        X, AX, history, converged, iters = _lasso_stage(plan, y, mu, X0, step, 3000, FISTA_TOL)
         assert converged and iters > 10
         # a zero step tolerance never stops the reference: it runs the stage's iterations
         X_ref, history_ref, _, iters_ref = reference_fista_stage(
@@ -538,7 +552,7 @@ def test_fista_stage_makes_one_forward_map_per_iteration(monkeypatch):
     plan, y, step = fista_instance(24)
     X0 = np.zeros((8, 8), dtype=complex)
     calls = count_forward_maps(monkeypatch)
-    *_, converged, iters = _fista_stage(plan, y, 0.05, X0, step, 3000, FISTA_TOL)
+    *_, converged, iters = _lasso_stage(plan, y, 0.05, X0, step, 3000, FISTA_TOL)
     assert converged and iters > 10
     assert len(calls) <= 1.5 * iters + 1
     # the reference recomputes A(X) for every objective: two forward maps per iteration
@@ -549,8 +563,12 @@ def test_fista_stage_makes_one_forward_map_per_iteration(monkeypatch):
 
 def test_mle_forward_map_budget(monkeypatch):
     """One forward map and one projection per trial step, backtracks and restarts
-    included; one more forward map for the start; at most two trial steps per iteration."""
+    included; one more forward map for the start; at most two trial steps per iteration.
+    One adjoint for the certificate at the start and at every accepted iterate, one for
+    the gradient at each momentum point (the first two iterations step from X, whose
+    gradient the certificate computed) and one for the reported residual."""
     calls = count_forward_maps(monkeypatch)
+    adjoints = count_calls(monkeypatch, MeasurementPlan, "pauli_sum")
     projections = []
     eigh = np.linalg.eigh
 
@@ -561,11 +579,14 @@ def test_mle_forward_map_budget(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for tol in (1e-7, MLE_TOL):
         for plan, record in mle_cases():
-            calls.clear()
-            projections.clear()
+            for counted in (calls, projections, adjoints):
+                counted.clear()
             result = mle(plan, record, SolverConfig(tolerance=tol, max_iterations=2000))
+            iters = result.iterations_used
             assert len(calls) == len(projections) + 1
-            assert result.iterations_used <= len(projections) <= 2 * result.iterations_used
+            assert iters <= len(projections) <= 2 * iters
+            # paying for the gradient at X again would add one per iteration
+            assert iters + 1 <= len(adjoints) <= 2 + iters + max(iters - 2, 0), (len(adjoints), iters)
 
 
 def test_mle_converges_on_criterion_5_trials(monkeypatch):
@@ -805,50 +826,73 @@ def test_lasso_converges_on_criterion_3_instances():
 
 
 def test_lasso_kkt_gate_on_criterion_3_instances(monkeypatch):
-    """The Lasso reads the complementarity <X, G> of its KKT check in O(m) from the
-    carried A(X), and forms G only when that gate passes.  On criterion-3 instances
-    the O(m) value matches the dense np.vdot(X, G) to rounding.  A solve's adjoints
-    are one per prox step (iterations and restarts, one forward map each besides
-    each stage's first), one per passed gate and two outside the stages (A*(y) for
-    the data scale and the reported residual); every eigvalsh besides the two
-    operator norms is a passed gate."""
-    points = []
-    complementarity = solvers._complementarity
+    """The Lasso reads the complementarity <X, G> of its KKT check in O(m) as
+    <A(X), A(X) - y> + mu Tr X from the carried A(X), and forms G only when that gate
+    passes.  On criterion-3 instances the O(m) value matches the dense np.vdot(X, G)
+    to rounding, and the gate passes exactly where it is within the stage's tolerance.
+    A solve's adjoints are one per loop gradient, one per passed gate and two outside
+    the stages (A*(y) for the data scale and the reported residual); a step from X
+    after a passed gate reuses its A*, so the loop's gradients are fewer than its prox
+    steps (iterations and restarts, one forward map each besides each stage's first).
+    Every eigvalsh besides the two operator norms is a passed gate."""
+    stages = []  # (mu, KKT tolerance) of each stage, then its iterations
+    iterations = []
+    lasso_stage = solvers._lasso_stage
 
-    def recording(X, AX, y, mu):
-        points.append((X, mu, complementarity(X, AX, y, mu)))
-        return points[-1][-1]
-
-    stages = []
-    fista_stage = solvers._fista_stage
-
-    def counting_stage(*args):
-        out = fista_stage(*args)
-        stages.append(out[-1])
+    def recording_stage(plan, y, mu, X, step, max_iter, kkt_tol):
+        stages.append((mu, kkt_tol))
+        out = lasso_stage(plan, y, mu, X, step, max_iter, kkt_tol)
+        iterations.append(out[-1])
         return out
 
-    monkeypatch.setattr(solvers, "_complementarity", recording)
-    monkeypatch.setattr(solvers, "_fista_stage", counting_stage)
+    points = []  # (X, A(X), mu, tolerance, whether the gate passed) at every certificate
+    gradients = []
+    accelerated = solvers._accelerated
+
+    def recording_loop(X, forward, objective, gradient, project, step, certify, *rest):
+        mu, tol = stages[-1]
+
+        def recording_certify(mat, a_mat):
+            holds, grad = certify(mat, a_mat)
+            points.append((mat, a_mat, mu, tol, grad is not None))
+            return holds, grad
+
+        def counting_gradient(mat, a_mat):
+            gradients.append(1)
+            return gradient(mat, a_mat)
+
+        return accelerated(X, forward, objective, counting_gradient, project, step,
+                           recording_certify, *rest)
+
+    monkeypatch.setattr(solvers, "_lasso_stage", recording_stage)
+    monkeypatch.setattr(solvers, "_accelerated", recording_loop)
     forward = count_forward_maps(monkeypatch)
     adjoints = count_calls(monkeypatch, MeasurementPlan, "pauli_sum")
     spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
     for seed in range(3):
         truth, plan, y = criterion_3_instance(seed)
-        for calls in (points, stages, forward, adjoints, spectra):
+        for calls in (stages, iterations, points, gradients, forward, adjoints, spectra):
             calls.clear()
         result = matrix_lasso(plan, y, 1e-6)
         assert result.converged
-        for X, mu, value in points[::25] + points[-1:]:
+        values = [float(AX @ (AX - y)) + mu * float(np.trace(X).real) for X, AX, mu, *_ in points]
+        assert [passed for *_, passed in points] == [
+            abs(value) <= tol for value, (*_, tol, _) in zip(values, points)]
+        for value, (X, _, mu, _, _) in (list(zip(values, points))[::25] + [(values[-1], points[-1])]):
             G = dense_gradient(plan, y, X) + mu * np.eye(plan.d)
             scale = max(1.0, np.linalg.norm(X) * np.linalg.norm(G))
             assert abs(value - np.vdot(X, G).real) <= 1e-13 * scale
-        iterations = sum(stages)
+        total = sum(iterations)
         prox_steps = len(forward) - len(stages)
-        passed = len(spectra) - 2
-        assert len(points) == iterations and prox_steps >= iterations
-        assert len(adjoints) == prox_steps + passed + 2
+        passed = sum(passed for *_, passed in points)
+        # one certificate at each stage's start and one after every iteration
+        assert len(points) == total + len(stages) and prox_steps >= total
+        assert len(spectra) == passed + 2
+        assert len(adjoints) == len(gradients) + passed + 2
+        # the first step reuses the A* of the gate at X = 0, which always passes
+        assert points[0][-1] and len(gradients) < prox_steps <= len(gradients) + passed
         # the parent paid an A* and an eigvalsh on every warm-up iteration
-        assert passed <= iterations // 10, (passed, iterations)
+        assert passed <= total // 10, (passed, total)
 
 
 def test_lasso_continuation_iteration_count(monkeypatch):
@@ -859,13 +903,34 @@ def test_lasso_continuation_iteration_count(monkeypatch):
     stages = []
 
     def counting(*args, **kwargs):
-        out = _fista_stage(*args, **kwargs)
+        out = _lasso_stage(*args, **kwargs)
         stages.append(out[-1])
         return out
 
-    monkeypatch.setattr(solvers, "_fista_stage", counting)
+    monkeypatch.setattr(solvers, "_lasso_stage", counting)
     truth, plan, y = criterion_3_instance(0)
     result = matrix_lasso(plan, y, 1e-6)
     assert result.converged and len(stages) == 9
     assert result.iterations_used == stages[-1]
     assert sum(stages) <= 1403 // 2, stages
+
+
+def test_lasso_returns_zero_when_optimal_at_origin():
+    """X = 0 is optimal exactly when lambda_max(A*y) <= mu, since G = mu I - A*y >= 0
+    there and <X, G> = 0: every stage certifies its start, and the solve returns the
+    zero matrix, converged, after 0 final-stage iterations.  With mu at lambda_max of
+    a noisy record there are no warm-up stages.  Negated complete data of a pure state
+    give A*y = -(d^2/m) rho, whose top eigenvalue 0 lies far below the data scale, so
+    at mu = 1e-3 every warm-up stage certifies 0 as well."""
+    _, plan, record = noisy_instance(3, n=3, m=40)
+    complete = MeasurementPlan(tuple(all_paulis(2)))
+    pure = haar_random_pure(2, np.random.default_rng(5))
+    negated = -simulate_measurements(complete, pure, EXACT).y
+    top = float(np.linalg.eigvalsh(adjoint_sampling_operator(plan, record.y))[-1])
+    for plan, y, mu, warm_ups in ((plan, record.y, top, 0), (complete, negated, 1e-3, 3)):
+        stage_mu = 0.2 * operator_norm(adjoint_sampling_operator(plan, y))
+        assert sum(stage_mu / 4**k > 4 * mu for k in range(20)) == warm_ups
+        result = matrix_lasso(plan, y, mu)
+        assert np.array_equal(result.rho_hat.mat, np.zeros((plan.d, plan.d)))
+        assert result.converged and result.iterations_used == 0
+        assert result.objective_history == (0.5 * float(y @ y),)
